@@ -5,7 +5,9 @@ curve family whose s time-like coordinates share one sinh and whose r
 space-like coordinates share one cosh, all at the single frequency sqrt(s*r).
 It provides:
 
-- the signature inner product and the closed-form curve (`geometry`)
+- the coordinate type, the row-wise signature inner product and the
+  closed-form curve with all its derivatives, scalar or over psi arrays
+  (`geometry`)
 - the coupled linear flow the curve solves, integrated with a fixed-step
   fourth-order scheme and cross-checked against the closed form (`ode`)
 - tangent-bundle dimension accounting and derivative-tower lifts (`bundle`)
@@ -18,7 +20,7 @@ from .geometry import (
     CurveSpec,
     PseudoPoint,
     Signature,
-    TangentVector,
+    curve_derivative,
     effective_radius,
     inner_product,
     is_h_orthogonal,
@@ -29,7 +31,6 @@ from .geometry import (
 from .ode import (
     IntegratorConfig,
     Provenance,
-    SystemState,
     Trajectory,
     closed_form_trajectory,
     convergence_order,
@@ -42,7 +43,6 @@ from .bundle import (
     MAX_LIFT_ORDER,
     BundleElement,
     bundle_dim,
-    curve_derivative,
     curve_lift,
     project,
     trivialize,
@@ -56,6 +56,7 @@ from .transform import (
     is_isometry,
     isometry_defect,
     metric_matrix,
+    random_isometry,
 )
 
 __version__ = "0.1.0"
@@ -70,8 +71,6 @@ __all__ = [
     "PseudoOrthogonalMap",
     "PseudoPoint",
     "Signature",
-    "SystemState",
-    "TangentVector",
     "Trajectory",
     "apply",
     "block_rotation",
@@ -92,6 +91,7 @@ __all__ = [
     "metric_matrix",
     "point_at",
     "project",
+    "random_isometry",
     "second_order_residual",
     "system_rhs",
     "trivialize",

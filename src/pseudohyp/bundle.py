@@ -5,17 +5,18 @@ An order-p element stores 2^p * n coordinates, flattened depth first with the
 base half leading: order 0 is a bare point, order p is the pair of two
 order-(p-1) elements. For the curve lift the two halves are the lift one
 order down and its parameter derivative, so the m-th derivative of the curve
-occupies the slots whose position bits sum to m.
+occupies the slots whose position bits sum to m. The tower comes from
+`geometry.curve_derivative`, the library's one curve formula, which is
+re-exported here.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CurveSpec, PseudoPoint, Signature, TangentVector
+from .geometry import CurveSpec, PseudoPoint, Signature, curve_derivative
 
 __all__ = [
     "MAX_LIFT_ORDER",
@@ -72,7 +73,7 @@ def project(e: BundleElement) -> BundleElement:
     return BundleElement(e.sig, e.order - 1, e.coords[:half].copy())
 
 
-def trivialize(point: PseudoPoint, v: TangentVector) -> np.ndarray:
+def trivialize(point: PseudoPoint, v: PseudoPoint) -> np.ndarray:
     """Chart coordinates of (point, vector): the flat 2n concatenation."""
     if point.sig != v.sig:
         raise ValueError(
@@ -91,33 +92,7 @@ def untrivialize(flat, sig: Signature):
             f"got shape {arr.shape}"
         )
     n = sig.n
-    return PseudoPoint(sig, arr[:n].copy()), TangentVector(sig, arr[n:].copy())
-
-
-def curve_derivative(spec: CurveSpec, psi: float, m: int) -> np.ndarray:
-    """m-th parameter derivative of the uniform curve, as flat coordinates.
-
-    Each differentiation multiplies the amplitude by sqrt(s*r) and swaps
-    sinh with cosh, so the time-like block is
-    (s*r)^(m/2) * sqrt(r/s) * R_eff * {sinh, cosh} (even, odd m) and the
-    space-like block is (s*r)^(m/2) * R_eff * {cosh, sinh}.
-    """
-    if m < 0:
-        raise ValueError(f"derivative order must be non-negative, got {m}")
-    sig = spec.sig
-    w = spec.frequency
-    t_amp = math.sqrt(sig.r / sig.s) * spec.r_eff * w**m
-    x_amp = spec.r_eff * w**m
-    if m % 2 == 0:
-        t_val = t_amp * math.sinh(w * psi)
-        x_val = x_amp * math.cosh(w * psi)
-    else:
-        t_val = t_amp * math.cosh(w * psi)
-        x_val = x_amp * math.sinh(w * psi)
-    coords = np.empty(sig.n)
-    coords[: sig.s] = t_val
-    coords[sig.s :] = x_val
-    return coords
+    return PseudoPoint(sig, arr[:n].copy()), PseudoPoint(sig, arr[n:].copy())
 
 
 def _assemble(tower, order: int, m: int) -> np.ndarray:

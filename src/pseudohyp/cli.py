@@ -13,6 +13,8 @@ import json
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bundle import bundle_dim
 from .geometry import DEFAULT_TOL, CurveSpec, Signature, inner_product, point_at
 from .ode import IntegratorConfig, Provenance, Trajectory, closed_form_trajectory, integrate
@@ -48,7 +50,6 @@ class RunConfig:
     mode: Provenance
     fmt: str
     out: str | None
-    tol: float = DEFAULT_TOL
 
 
 def _parse_sig(text: str) -> Signature:
@@ -68,30 +69,39 @@ def _columns(sig: Signature):
     return cols
 
 
-def _sample_values(traj: Trajectory, k: int):
-    sig = traj.spec.sig
-    r2 = traj.spec.radius * traj.spec.radius
-    p = traj.points[k]
-    v = traj.velocities[k]
-    form = inner_product(p, p, sig) - r2
-    ortho = inner_product(p, v, sig)
-    return [float(traj.psi[k]), *p.tolist(), *v.tolist(), form, ortho]
+def _sample_values(traj: Trajectory) -> np.ndarray:
+    """The output table, one row per sample in the column order of `_columns`.
+
+    Raises ValueError when a value is not finite, which happens once the
+    curve overflows the float range.
+    """
+    p = traj.points
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        form = inner_product(p, p, traj.spec.sig) - traj.spec.radius * traj.spec.radius
+        ortho = inner_product(p, traj.velocities, traj.spec.sig)
+    table = np.column_stack((traj.psi, p, traj.velocities, form, ortho))
+    if not np.isfinite(table).all():
+        raise ValueError(
+            "non-finite coordinates or residuals: the curve overflows once "
+            "|psi|*sqrt(s*r) exceeds about 710, less for a large radius"
+        )
+    return table
 
 
 def write_csv(traj: Trajectory, stream) -> None:
     """Write a trajectory as CSV, one row per sample."""
     writer = csv.writer(stream)
     writer.writerow(_columns(traj.spec.sig))
-    for k in range(len(traj)):
-        writer.writerow(format(v, _FLOAT_FMT) for v in _sample_values(traj, k))
+    for row in _sample_values(traj):
+        writer.writerow(format(v, _FLOAT_FMT) for v in row.tolist())
 
 
 def write_json(traj: Trajectory, stream) -> None:
     """Write a trajectory as JSON with named per-sample fields."""
     sig = traj.spec.sig
     samples = []
-    for k in range(len(traj)):
-        vals = _sample_values(traj, k)
+    for row in _sample_values(traj):
+        vals = row.tolist()
         samples.append(
             {
                 "psi": vals[0],
@@ -122,6 +132,8 @@ def cmd_generate(cfg: RunConfig) -> int:
         traj = closed_form_trajectory(icfg)
     else:
         traj = integrate(icfg, point_at(cfg.psi_start, spec))
+    # the writers refuse non-finite values; find out before the file exists
+    _sample_values(traj)
     writer = write_csv if cfg.fmt == "csv" else write_json
     if cfg.out is None:
         writer(traj, sys.stdout)
@@ -231,10 +243,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (_ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OverflowError as exc:
+    except (_ConfigError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -1,10 +1,13 @@
-"""Signature (s, r) geometry: points, the indefinite inner product, and the
-uniform sinh/cosh curve family on the constant-form quadric.
+"""Signature (s, r) geometry: coordinates, the indefinite inner product, and
+the uniform sinh/cosh curve family on the constant-form quadric.
 
 Coordinates are laid out as [t-block | x-block]: s time-like axes carrying
 weight -1 in the product, followed by r space-like axes carrying weight +1.
 The quadric of constant R is the set -sum(t_i^2) + sum(x_j^2) = R^2, and the
 curve family produced by `point_at` stays on it for every parameter value.
+
+`PseudoPoint` holds points and tangent vectors alike. `curve_derivative`
+and `inner_product` also work on whole arrays of samples, one row each.
 
 Everything here is a pure function of its inputs; values can be shared freely
 across threads.
@@ -13,6 +16,7 @@ across threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +25,11 @@ __all__ = [
     "DEFAULT_TOL",
     "Signature",
     "PseudoPoint",
-    "TangentVector",
     "CurveSpec",
+    "is_integer",
     "inner_product",
     "effective_radius",
+    "curve_derivative",
     "point_at",
     "velocity_at",
     "is_on_hyperboloid",
@@ -32,6 +37,15 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+
+# Veltkamp's constant 2^27 + 1: splits a binary64 value into two halves
+# whose pairwise products are exact
+_SPLITTER = 134217729.0
+
+
+def is_integer(value) -> bool:
+    """True for an integer of any integral type (Python or numpy), not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -46,8 +60,10 @@ class Signature:
     r: int
 
     def __post_init__(self):
-        if not isinstance(self.s, int) or not isinstance(self.r, int):
+        if not is_integer(self.s) or not is_integer(self.r):
             raise TypeError("signature counts must be integers")
+        object.__setattr__(self, "s", int(self.s))
+        object.__setattr__(self, "r", int(self.r))
         if self.s < 1 or self.r < 1:
             raise ValueError(f"signature needs s >= 1 and r >= 1, got ({self.s}, {self.r})")
 
@@ -66,7 +82,7 @@ class Signature:
 
 def _check_coords(coords, sig: Signature, what: str) -> np.ndarray:
     arr = np.asarray(coords, dtype=float)
-    if arr.shape != (sig.n,):
+    if arr.ndim < 1 or arr.shape[-1] != sig.n:
         raise ValueError(
             f"{what} must have {sig.n} coordinates for signature "
             f"({sig.s},{sig.r}), got shape {arr.shape}"
@@ -76,13 +92,15 @@ def _check_coords(coords, sig: Signature, what: str) -> np.ndarray:
 
 @dataclass(eq=False)
 class PseudoPoint:
-    """A point with coordinates [t_1..t_s, x_{s+1}..x_n]."""
+    """A point or tangent vector with coordinates [t_1..t_s, x_{s+1}..x_n]."""
 
     sig: Signature
     coords: np.ndarray
 
     def __post_init__(self):
         self.coords = _check_coords(self.coords, self.sig, "point")
+        if self.coords.ndim != 1:
+            raise ValueError(f"a point has one row of coordinates, got shape {self.coords.shape}")
 
     @classmethod
     def from_blocks(cls, sig: Signature, t, x) -> "PseudoPoint":
@@ -106,36 +124,6 @@ class PseudoPoint:
         return self.coords[self.sig.s :]
 
 
-@dataclass(eq=False)
-class TangentVector:
-    """Derivative of a curve at a point; same [dt-block | dx-block] layout."""
-
-    sig: Signature
-    coords: np.ndarray
-
-    def __post_init__(self):
-        self.coords = _check_coords(self.coords, self.sig, "tangent vector")
-
-    @classmethod
-    def from_blocks(cls, sig: Signature, dt, dx) -> "TangentVector":
-        dt = np.asarray(dt, dtype=float)
-        dx = np.asarray(dx, dtype=float)
-        if dt.shape != (sig.s,) or dx.shape != (sig.r,):
-            raise ValueError(
-                f"blocks must have lengths ({sig.s}, {sig.r}), "
-                f"got ({dt.shape}, {dx.shape})"
-            )
-        return cls(sig, np.concatenate((dt, dx)))
-
-    @property
-    def dt(self) -> np.ndarray:
-        return self.coords[: self.sig.s]
-
-    @property
-    def dx(self) -> np.ndarray:
-        return self.coords[self.sig.s :]
-
-
 @dataclass(frozen=True)
 class CurveSpec:
     """Parameters of the uniform curve: a signature and the quadric constant R.
@@ -150,8 +138,7 @@ class CurveSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "radius", float(self.radius))
-        if not self.radius > 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        effective_radius(self.radius, self.sig)  # rejects a bad radius
 
     @property
     def r_eff(self) -> float:
@@ -165,7 +152,7 @@ class CurveSpec:
 
 
 def _as_coords(obj, sig: Signature, what: str) -> np.ndarray:
-    if isinstance(obj, (PseudoPoint, TangentVector)):
+    if isinstance(obj, PseudoPoint):
         if obj.sig != sig:
             raise ValueError(
                 f"{what} has signature ({obj.sig.s},{obj.sig.r}), "
@@ -175,20 +162,43 @@ def _as_coords(obj, sig: Signature, what: str) -> np.ndarray:
     return _check_coords(obj, sig, what)
 
 
-def inner_product(u, v, sig: Signature) -> float:
+def _two_product(a, b):
+    # Dekker's TwoProduct: h + e == a * b exactly, barring over/underflow
+    h = a * b
+    c = _SPLITTER * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    c = _SPLITTER * b
+    b_hi = c - (c - b)
+    b_lo = b - b_hi
+    return h, a_lo * b_lo - (((h - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
+
+
+def _two_sum(a, b):
+    # Knuth's TwoSum: x + e == a + b exactly
+    x = a + b
+    z = x - a
+    return x, (a - (x - z)) + (b - z)
+
+
+def inner_product(u, v, sig: Signature):
     """Indefinite product -sum_{t-block} u_i*v_i + sum_{x-block} u_j*v_j.
 
-    Accepts raw length-n sequences as well as PseudoPoint / TangentVector
-    (their signature must match `sig`). The signed terms are summed with
-    math.fsum: the two blocks cancel almost exactly for on-quadric pairs,
-    and an exact sum keeps that cancellation from picking up rounding noise.
+    Takes PseudoPoint values (of signature `sig`) or arrays of shape (n,),
+    giving a float, or (..., n), giving one product per row. The blocks
+    cancel almost exactly for on-quadric pairs, so the terms are summed
+    with Dot2 (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26(6), 2005), one
+    column at a time: |res - exact| <= u*|exact| + gamma_n^2 * sum|u_i*v_i|.
     """
-    uc = _as_coords(u, sig, "u")
-    vc = _as_coords(v, sig, "v")
-    s = sig.s
-    terms = [-uc[i] * vc[i] for i in range(s)]
-    terms += [uc[i] * vc[i] for i in range(s, sig.n)]
-    return math.fsum(terms)
+    u_cols = np.moveaxis(_as_coords(u, sig, "u"), -1, 0)
+    v_cols = np.moveaxis(_as_coords(v, sig, "v"), -1, 0)
+    total = err = 0.0
+    for i, (a, b) in enumerate(zip(u_cols, v_cols)):
+        h, e = _two_product(-a if i < sig.s else a, b)
+        total, q = _two_sum(total, h)
+        err = err + (q + e)
+    res = total + err
+    return float(res) if np.ndim(res) == 0 else res
 
 
 def effective_radius(radius: float, sig: Signature) -> float:
@@ -196,43 +206,61 @@ def effective_radius(radius: float, sig: Signature) -> float:
 
     Satisfies r * effective_radius**2 == radius**2 to machine precision.
     """
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not (radius > 0 and math.isfinite(radius)):
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     return radius / math.sqrt(sig.r)
+
+
+def curve_derivative(spec: CurveSpec, psi, m: int) -> np.ndarray:
+    """m-th parameter derivative of the uniform curve at psi.
+
+    A scalar psi gives n coordinates, an array of psi one row per value.
+    With w = sqrt(s*r) and k = m // 2, even m gives sqrt(r/s) * R_eff *
+    (s*r)^k * sinh(w*psi) in the time-like block and R_eff * (s*r)^k *
+    cosh(w*psi) in the space-like one; odd m gives r * R_eff * (s*r)^k *
+    cosh(w*psi) and w * R_eff * (s*r)^k * sinh(w*psi). Each block is filled
+    from one value per sample, so its entries are bitwise identical.
+    math.sinh/cosh keep every row equal to the scalar formula, and raise
+    OverflowError once |w*psi| exceeds about 710.
+    """
+    if m < 0:
+        raise ValueError(f"derivative order must be non-negative, got {m}")
+    sig = spec.sig
+    w = spec.frequency
+    power = (sig.s * sig.r) ** (m // 2)
+    if m % 2 == 0:
+        t_amp = math.sqrt(sig.r / sig.s) * spec.r_eff * power
+        x_amp = spec.r_eff * power
+        t_fn, x_fn = math.sinh, math.cosh
+    else:
+        t_amp = sig.r * spec.r_eff * power
+        x_amp = w * spec.r_eff * power
+        t_fn, x_fn = math.cosh, math.sinh
+    arg = w * np.asarray(psi, dtype=float)
+    flat = arg.ravel().tolist()
+    out = np.empty((len(flat), sig.n))
+    out[:, : sig.s] = (t_amp * np.fromiter(map(t_fn, flat), float, len(flat)))[:, None]
+    out[:, sig.s :] = (x_amp * np.fromiter(map(x_fn, flat), float, len(flat)))[:, None]
+    return out.reshape(arg.shape + (sig.n,))
 
 
 def point_at(psi: float, spec: CurveSpec) -> PseudoPoint:
     """Point of the uniform curve at parameter psi.
 
     Every time-like coordinate equals sqrt(r/s) * R_eff * sinh(sqrt(s*r)*psi)
-    and every space-like coordinate equals R_eff * cosh(sqrt(s*r)*psi). Each
-    block is filled from one scalar so its entries are bitwise identical.
+    and every space-like coordinate equals R_eff * cosh(sqrt(s*r)*psi).
     """
-    sig = spec.sig
-    w = spec.frequency
-    t_val = math.sqrt(sig.r / sig.s) * spec.r_eff * math.sinh(w * psi)
-    x_val = spec.r_eff * math.cosh(w * psi)
-    coords = np.empty(sig.n)
-    coords[: sig.s] = t_val
-    coords[sig.s :] = x_val
-    return PseudoPoint(sig, coords)
+    return PseudoPoint(spec.sig, curve_derivative(spec, psi, 0))
 
 
-def velocity_at(psi: float, spec: CurveSpec) -> TangentVector:
+def velocity_at(psi: float, spec: CurveSpec) -> PseudoPoint:
     """Parameter derivative of `point_at`.
 
     Time-like components are r * R_eff * cosh(sqrt(s*r)*psi), space-like
     components sqrt(s*r) * R_eff * sinh(sqrt(s*r)*psi). The result is
     orthogonal to the point in the signature product.
     """
-    sig = spec.sig
-    w = spec.frequency
-    dt_val = sig.r * spec.r_eff * math.cosh(w * psi)
-    dx_val = w * spec.r_eff * math.sinh(w * psi)
-    coords = np.empty(sig.n)
-    coords[: sig.s] = dt_val
-    coords[sig.s :] = dx_val
-    return TangentVector(sig, coords)
+    return PseudoPoint(spec.sig, curve_derivative(spec, psi, 1))
 
 
 def is_on_hyperboloid(p: PseudoPoint, radius: float, tol: float = DEFAULT_TOL) -> bool:
@@ -242,7 +270,7 @@ def is_on_hyperboloid(p: PseudoPoint, radius: float, tol: float = DEFAULT_TOL) -
     return abs(inner_product(p, p, p.sig) - radius * radius) <= tol
 
 
-def is_h_orthogonal(p: PseudoPoint, v: TangentVector, tol: float = DEFAULT_TOL) -> bool:
+def is_h_orthogonal(p: PseudoPoint, v: PseudoPoint, tol: float = DEFAULT_TOL) -> bool:
     """True when |<p, v>| <= tol in the signature product."""
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")

@@ -15,11 +15,10 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import CurveSpec, PseudoPoint, TangentVector, point_at, velocity_at
+from .geometry import CurveSpec, PseudoPoint, curve_derivative, is_integer, point_at
 
 __all__ = [
     "Provenance",
-    "SystemState",
     "IntegratorConfig",
     "Trajectory",
     "system_rhs",
@@ -34,14 +33,6 @@ __all__ = [
 class Provenance(Enum):
     CLOSED_FORM = "closed_form"
     INTEGRATED = "integrated"
-
-
-@dataclass
-class SystemState:
-    """Parameter value plus the current point of the flow."""
-
-    psi: float
-    point: PseudoPoint
 
 
 @dataclass(frozen=True)
@@ -59,8 +50,9 @@ class IntegratorConfig:
     spec: CurveSpec
 
     def __post_init__(self):
-        if not isinstance(self.steps, int) or self.steps < 1:
+        if not is_integer(self.steps) or self.steps < 1:
             raise ValueError(f"steps must be a positive integer, got {self.steps}")
+        object.__setattr__(self, "steps", int(self.steps))
 
     @property
     def step(self) -> float:
@@ -115,15 +107,6 @@ class Trajectory:
     def __len__(self) -> int:
         return self.psi.shape[0]
 
-    def sample(self, k: int):
-        """The k-th sample as (psi, PseudoPoint, TangentVector)."""
-        sig = self.spec.sig
-        return (
-            float(self.psi[k]),
-            PseudoPoint(sig, self.points[k].copy()),
-            TangentVector(sig, self.velocities[k].copy()),
-        )
-
 
 def _rhs(coords: np.ndarray, s: int) -> np.ndarray:
     # dt_i = sum of x-block for every i, dx_j = sum of t-block for every j;
@@ -134,15 +117,14 @@ def _rhs(coords: np.ndarray, s: int) -> np.ndarray:
     return out
 
 
-def system_rhs(state: SystemState) -> TangentVector:
-    """Right-hand side of the flow at a state.
+def system_rhs(point: PseudoPoint) -> PseudoPoint:
+    """Right-hand side of the flow at a point, as a tangent vector.
 
     Every space-like derivative is the sum of the time-like coordinates and
     every time-like derivative is the sum of the space-like ones; the shared
     value per block is what drives the uniform parametrization.
     """
-    sig = state.point.sig
-    return TangentVector(sig, _rhs(state.point.coords, sig.s))
+    return PseudoPoint(point.sig, _rhs(point.coords, point.sig.s))
 
 
 def integrate(cfg: IntegratorConfig, initial: PseudoPoint) -> Trajectory:
@@ -177,14 +159,13 @@ def integrate(cfg: IntegratorConfig, initial: PseudoPoint) -> Trajectory:
 
 
 def closed_form_trajectory(cfg: IntegratorConfig) -> Trajectory:
-    """Sample `point_at` / `velocity_at` on the same grid `integrate` uses."""
+    """The closed-form curve and its velocity on the grid `integrate` uses.
+
+    Row k equals `point_at` / `velocity_at` at grid[k] bit for bit.
+    """
     grid = cfg.grid()
-    m = grid.shape[0]
-    points = np.empty((m, cfg.spec.sig.n))
-    velocities = np.empty_like(points)
-    for k in range(m):
-        points[k] = point_at(grid[k], cfg.spec).coords
-        velocities[k] = velocity_at(grid[k], cfg.spec).coords
+    points = curve_derivative(cfg.spec, grid, 0)
+    velocities = curve_derivative(cfg.spec, grid, 1)
     return Trajectory(cfg.spec, Provenance.CLOSED_FORM, grid, points, velocities)
 
 

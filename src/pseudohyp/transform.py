@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PseudoPoint, Signature, TangentVector
+from .geometry import PseudoPoint, Signature
 
 __all__ = [
     "PseudoOrthogonalMap",
@@ -23,7 +23,11 @@ __all__ = [
     "apply",
     "is_isometry",
     "isometry_defect",
+    "random_isometry",
 ]
+
+_MAX_GENERATORS = 5
+_MAX_RAPIDITY = 0.6
 
 
 def metric_matrix(sig: Signature) -> np.ndarray:
@@ -114,7 +118,7 @@ def block_rotation(sig: Signature, axis1: int, axis2: int, angle: float) -> Pseu
 
 
 def apply(m: PseudoOrthogonalMap, obj):
-    """Linear action on a point, tangent vector, or raw coordinate vector.
+    """Linear action on a PseudoPoint or a raw coordinate vector.
 
     Returns the same kind of value it was given. For an isometry the image of
     an on-quadric point stays on the quadric of the same constant.
@@ -123,10 +127,6 @@ def apply(m: PseudoOrthogonalMap, obj):
         if obj.sig != m.sig:
             raise ValueError("point signature does not match the map")
         return PseudoPoint(m.sig, m.matrix @ obj.coords)
-    if isinstance(obj, TangentVector):
-        if obj.sig != m.sig:
-            raise ValueError("vector signature does not match the map")
-        return TangentVector(m.sig, m.matrix @ obj.coords)
     arr = np.asarray(obj, dtype=float)
     if arr.shape != (m.sig.n,):
         raise ValueError(
@@ -146,3 +146,27 @@ def is_isometry(m: PseudoOrthogonalMap, tol: float = 1e-12) -> bool:
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     return isometry_defect(m) <= tol
+
+
+def random_isometry(sig: Signature, rng) -> PseudoOrthogonalMap:
+    """Product of 1 to 5 random boosts and rotations drawn from `rng`.
+
+    Rotations get a uniform angle, boosts a rapidity in [-0.6, 0.6].
+    """
+    m = PseudoOrthogonalMap.identity(sig)
+    blocks = []
+    if sig.s >= 2:
+        blocks.append((0, sig.s))
+    if sig.r >= 2:
+        blocks.append((sig.s, sig.n))
+    for _ in range(int(rng.integers(1, _MAX_GENERATORS + 1))):
+        if blocks and rng.random() < 0.5:
+            lo, hi = blocks[int(rng.integers(0, len(blocks)))]
+            a1, a2 = rng.choice(np.arange(lo, hi), size=2, replace=False)
+            g = block_rotation(sig, int(a1), int(a2), float(rng.uniform(-math.pi, math.pi)))
+        else:
+            ti = int(rng.integers(0, sig.s))
+            xj = int(rng.integers(sig.s, sig.n))
+            g = boost(sig, ti, xj, float(rng.uniform(-_MAX_RAPIDITY, _MAX_RAPIDITY)))
+        m = g @ m
+    return m

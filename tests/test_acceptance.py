@@ -12,10 +12,8 @@ import numpy as np
 from pseudohyp import (
     CurveSpec,
     IntegratorConfig,
-    PseudoOrthogonalMap,
     Signature,
     apply,
-    block_rotation,
     boost,
     bundle_dim,
     closed_form_trajectory,
@@ -26,6 +24,7 @@ from pseudohyp import (
     max_deviation,
     point_at,
     project,
+    random_isometry,
     second_order_residual,
     velocity_at,
 )
@@ -37,26 +36,6 @@ RADII = (0.5, 1.0, 2.0)
 def report(num, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"[criterion {num}] {status}: {name}{detail}")
-
-
-def random_isometry(sig, rng, max_rapidity=0.6, max_factors=5):
-    m = PseudoOrthogonalMap.identity(sig)
-    blocks = []
-    if sig.s >= 2:
-        blocks.append((0, sig.s))
-    if sig.r >= 2:
-        blocks.append((sig.s, sig.n))
-    for _ in range(int(rng.integers(1, max_factors + 1))):
-        if blocks and rng.random() < 0.5:
-            lo, hi = blocks[int(rng.integers(0, len(blocks)))]
-            a1, a2 = rng.choice(np.arange(lo, hi), size=2, replace=False)
-            g = block_rotation(sig, int(a1), int(a2), float(rng.uniform(-math.pi, math.pi)))
-        else:
-            ti = int(rng.integers(0, sig.s))
-            xj = int(rng.integers(sig.s, sig.n))
-            g = boost(sig, ti, xj, float(rng.uniform(-max_rapidity, max_rapidity)))
-        m = g @ m
-    return m
 
 
 def test_criterion_1_base_case_reproduction():

@@ -93,6 +93,18 @@ def test_generate_config_errors(tmp_path, capsys):
     assert main(["generate", "--sig", "1,1", "--radius", "0", "--out", str(out)]) == 1
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--radius", "inf"], "finite"),
+    (["--mode", "integrated", "--psi-end", "800", "--steps", "100"], "710"),
+    (["--psi-end", "800"], "error"),
+])
+def test_generate_overflow_leaves_no_file(tmp_path, capsys, extra, message):
+    out = tmp_path / "traj.csv"
+    assert main(["generate", "--sig", "1,1", *extra, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_unwritable_path(tmp_path, capsys):
     missing = tmp_path / "no_such_dir" / "traj.csv"
     code = main(["generate", "--sig", "1,1", "--out", str(missing)])

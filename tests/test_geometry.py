@@ -1,6 +1,7 @@
 """Tests for the signature product, the quadric, and the closed-form curve."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from pseudohyp import (
     CurveSpec,
     PseudoPoint,
     Signature,
-    TangentVector,
     effective_radius,
     inner_product,
     is_h_orthogonal,
@@ -29,6 +29,10 @@ def test_signature_validation():
             Signature(s, r)
     with pytest.raises(TypeError):
         Signature(1.5, 2)
+    with pytest.raises(TypeError):
+        Signature(True, True)
+    sig = Signature(np.int64(2), 3)
+    assert type(sig.s) is int and sig == Signature(2, 3)
 
 
 def test_signature_signs():
@@ -42,9 +46,9 @@ def test_point_and_vector_blocks():
     assert np.array_equal(p.coords, [1, 2, 3, 4, 5])
     assert np.array_equal(p.t, [1, 2])
     assert np.array_equal(p.x, [3, 4, 5])
-    v = TangentVector.from_blocks(sig, [1.0, 1.0], [0.0, 0.0, 2.0])
-    assert np.array_equal(v.dt, [1, 1])
-    assert np.array_equal(v.dx, [0, 0, 2])
+    v = PseudoPoint.from_blocks(sig, [1.0, 1.0], [0.0, 0.0, 2.0])
+    assert np.array_equal(v.t, [1, 1])
+    assert np.array_equal(v.x, [0, 0, 2])
 
 
 def test_point_validation():
@@ -53,7 +57,7 @@ def test_point_validation():
     with pytest.raises(ValueError):
         PseudoPoint.from_blocks(Signature(1, 2), [1.0, 2.0], [3.0])
     with pytest.raises(ValueError):
-        TangentVector(Signature(2, 2), [0.0])
+        PseudoPoint(Signature(2, 2), [0.0])
 
 
 @pytest.mark.parametrize("radius", RADII)
@@ -106,6 +110,34 @@ def test_inner_product_bilinear():
             assert abs(lhs - rhs) <= 1e-12 * scale
 
 
+def test_inner_product_rowwise_matches_rows():
+    rng = np.random.default_rng(44)
+    for sig in SIGS:
+        u = rng.uniform(-3, 3, (7, sig.n))
+        v = rng.uniform(-3, 3, (7, sig.n))
+        got = inner_product(u, v, sig)
+        assert got.shape == (7,)
+        assert np.array_equal(got, [inner_product(a, b, sig) for a, b in zip(u, v)])
+
+
+def test_inner_product_exact_oracle():
+    # Dot2 error bound (Ogita, Rump & Oishi 2005), checked in exact rational
+    # arithmetic against the exact product of the binary64 inputs
+    sig = Signature(4, 4)
+    u = Fraction(1, 2**53)
+    gamma = sig.n * u / (1 - sig.n * u)
+    for radius in RADII:
+        spec = CurveSpec(sig, radius)
+        for psi in np.linspace(-3.0, 3.0, 61):
+            p = point_at(psi, spec).coords
+            v = velocity_at(psi, spec).coords
+            for a, b in ((p, p), (p, v), (v, v)):
+                terms = [Fraction(x) * Fraction(y) for x, y in zip(a, b)]
+                exact = sum(terms[sig.s :]) - sum(terms[: sig.s])
+                bound = u * abs(exact) + gamma**2 * sum(abs(t) for t in terms)
+                assert abs(Fraction(inner_product(a, b, sig)) - exact) <= bound
+
+
 def test_effective_radius_values():
     assert effective_radius(1.0, Signature(1, 1)) == 1.0
     assert effective_radius(2.0, Signature(3, 4)) == 1.0
@@ -120,7 +152,7 @@ def test_effective_radius_identity(sig, radius):
 
 
 def test_effective_radius_rejects_nonpositive():
-    for bad in (0.0, -1.0):
+    for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             effective_radius(bad, Signature(1, 1))
         with pytest.raises(ValueError):
@@ -170,8 +202,8 @@ def test_point_uniformity_bitwise():
             v = velocity_at(psi, spec)
             assert np.all(p.t == p.t[0])
             assert np.all(p.x == p.x[0])
-            assert np.all(v.dt == v.dt[0])
-            assert np.all(v.dx == v.dx[0])
+            assert np.all(v.t == v.t[0])
+            assert np.all(v.x == v.x[0])
 
 
 def test_velocity_base_case_bitwise():
@@ -186,8 +218,8 @@ def test_velocity_base_case_bitwise():
 def test_velocity_at_zero(sig):
     spec = CurveSpec(sig, 2.0)
     v = velocity_at(0.0, spec)
-    assert np.all(v.dt == sig.r * spec.r_eff)
-    assert np.all(v.dx == 0.0)
+    assert np.all(v.t == sig.r * spec.r_eff)
+    assert np.all(v.x == 0.0)
 
 
 def test_velocity_two_two_example():
@@ -197,7 +229,7 @@ def test_velocity_two_two_example():
     assert np.array_equal(v.coords, want)
     p = point_at(0.5, spec)
     # independent orthogonality check, plain signed sum
-    form = -sum(a * b for a, b in zip(p.t, v.dt)) + sum(a * b for a, b in zip(p.x, v.dx))
+    form = -sum(a * b for a, b in zip(p.t, v.t)) + sum(a * b for a, b in zip(p.x, v.x))
     assert abs(form) <= 1e-12
 
 
@@ -273,14 +305,14 @@ def test_is_h_orthogonal_examples():
     sig = Signature(1, 1)
     p = PseudoPoint(sig, [0.0, 2.0])
     for c in (-3.0, 0.5, 7.0):
-        assert is_h_orthogonal(p, TangentVector(sig, [c, 0.0]), 1e-15)
+        assert is_h_orthogonal(p, PseudoPoint(sig, [c, 0.0]), 1e-15)
     q = PseudoPoint(sig, [1.0, 2.0])
-    assert not is_h_orthogonal(q, TangentVector(sig, [1.0, 2.0]), 1e-10)
+    assert not is_h_orthogonal(q, PseudoPoint(sig, [1.0, 2.0]), 1e-10)
 
 
 def test_is_h_orthogonal_signature_mismatch():
     p = PseudoPoint(Signature(1, 1), [0.0, 1.0])
-    v = TangentVector(Signature(1, 2), [1.0, 0.0, 0.0])
+    v = PseudoPoint(Signature(1, 2), [1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         is_h_orthogonal(p, v, 1e-10)
 

@@ -11,7 +11,6 @@ from pseudohyp import (
     Provenance,
     PseudoPoint,
     Signature,
-    SystemState,
     Trajectory,
     closed_form_trajectory,
     convergence_order,
@@ -30,23 +29,20 @@ def spec11(radius=1.0):
 
 @pytest.mark.parametrize("radius", (0.5, 1.0, 2.0))
 def test_system_rhs_base_case(radius):
-    state = SystemState(0.0, PseudoPoint(Signature(1, 1), [0.0, radius]))
-    v = system_rhs(state)
+    v = system_rhs(PseudoPoint(Signature(1, 1), [0.0, radius]))
     assert v.coords[0] == radius
     assert v.coords[1] == 0.0
 
 
 def test_system_rhs_zero_point():
-    state = SystemState(0.0, PseudoPoint(Signature(2, 3), np.zeros(5)))
-    assert np.all(system_rhs(state).coords == 0.0)
+    assert np.all(system_rhs(PseudoPoint(Signature(2, 3), np.zeros(5))).coords == 0.0)
 
 
 def test_system_rhs_hand_sums():
     # sum of x-block is 6, sum of t-block is 2
-    state = SystemState(0.0, PseudoPoint(Signature(2, 3), [1.0, 1.0, 2.0, 2.0, 2.0]))
-    v = system_rhs(state)
-    assert np.array_equal(v.dt, [6.0, 6.0])
-    assert np.array_equal(v.dx, [2.0, 2.0, 2.0])
+    v = system_rhs(PseudoPoint(Signature(2, 3), [1.0, 1.0, 2.0, 2.0, 2.0]))
+    assert np.array_equal(v.t, [6.0, 6.0])
+    assert np.array_equal(v.x, [2.0, 2.0, 2.0])
 
 
 def test_integrator_config_validation():
@@ -55,6 +51,10 @@ def test_integrator_config_validation():
             IntegratorConfig(0.0, 1.0, bad, spec11())
     with pytest.raises(ValueError):
         IntegratorConfig(0.0, 1.0, 1.5, spec11())
+    with pytest.raises(ValueError):
+        IntegratorConfig(0.0, 1.0, True, spec11())
+    cfg = IntegratorConfig(0.0, 1.0, np.int64(5), spec11())
+    assert type(cfg.steps) is int and cfg.steps == 5
 
 
 def test_grid_hits_decimals_exactly():
@@ -125,13 +125,16 @@ def test_closed_form_base_case_values():
 
 
 def test_closed_form_matches_point_at_bitwise():
-    from pseudohyp import velocity_at
+    from pseudohyp import curve_derivative, velocity_at
 
     spec = CurveSpec(Signature(3, 2), 1.5)
     traj = closed_form_trajectory(IntegratorConfig(-0.7, 1.3, 13, spec))
     for k, psi in enumerate(traj.psi):
         assert np.array_equal(traj.points[k], point_at(psi, spec).coords)
         assert np.array_equal(traj.velocities[k], velocity_at(psi, spec).coords)
+    for m in range(4):
+        rows = [curve_derivative(spec, psi, m) for psi in traj.psi]
+        assert np.array_equal(curve_derivative(spec, traj.psi, m), rows)
 
 
 def test_max_deviation_identity():
@@ -241,12 +244,3 @@ def test_trajectory_monotonicity_validation():
     with pytest.raises(ValueError):
         Trajectory(spec, Provenance.CLOSED_FORM, [0.0, 0.5, 0.2], pts, pts.copy())
 
-
-def test_trajectory_sample_accessor():
-    spec = CurveSpec(Signature(1, 2), 1.0)
-    traj = closed_form_trajectory(IntegratorConfig(0.0, 1.0, 4, spec))
-    psi, p, v = traj.sample(2)
-    assert psi == traj.psi[2]
-    assert np.array_equal(p.coords, traj.points[2])
-    assert np.array_equal(v.coords, traj.velocities[2])
-    assert p.sig == spec.sig
