@@ -95,14 +95,6 @@ def untrivialize(flat, sig: Signature):
     return PseudoPoint(sig, arr[:n].copy()), PseudoPoint(sig, arr[n:].copy())
 
 
-def _assemble(tower, order: int, m: int) -> np.ndarray:
-    if order == 0:
-        return tower[m]
-    return np.concatenate(
-        (_assemble(tower, order - 1, m), _assemble(tower, order - 1, m + 1))
-    )
-
-
 def curve_lift(
     spec: CurveSpec, psi: float, order: int, max_order: int = MAX_LIFT_ORDER
 ) -> BundleElement:
@@ -118,4 +110,5 @@ def curve_lift(
     if order > max_order:
         raise ValueError(f"lift order {order} above cap {max_order}")
     tower = [curve_derivative(spec, psi, m) for m in range(order + 1)]
-    return BundleElement(spec.sig, order, _assemble(tower, order, 0))
+    slots = [tower[j.bit_count()] for j in range(1 << order)]
+    return BundleElement(spec.sig, order, np.concatenate(slots))

@@ -11,16 +11,15 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bundle import bundle_dim
-from .geometry import DEFAULT_TOL, CurveSpec, Signature, inner_product, point_at
+from .geometry import CurveSpec, Signature, inner_product, point_at
 from .ode import IntegratorConfig, Provenance, Trajectory, closed_form_trajectory, integrate
-from .verify import DEFAULT_SEED, run_sweep
+from .verify import run_sweep
 
-__all__ = ["RunConfig", "cmd_generate", "cmd_verify", "cmd_dims", "main"]
+__all__ = ["cmd_generate", "cmd_verify", "cmd_dims", "main"]
 
 # Trajectory numbers are written with 17 significant decimal digits, enough
 # for any binary64 value to survive a write/parse round trip bit-exactly.
@@ -36,20 +35,6 @@ class _Parser(argparse.ArgumentParser):
     # I/O problems, so parse errors are rerouted to exit code 1.
     def error(self, message):
         raise _ConfigError(message)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated parameters of a `generate` run."""
-
-    sig: Signature
-    radius: float
-    psi_start: float
-    psi_end: float
-    steps: int
-    mode: Provenance
-    fmt: str
-    out: str | None
 
 
 def _parse_sig(text: str) -> Signature:
@@ -88,19 +73,19 @@ def _sample_values(traj: Trajectory) -> np.ndarray:
     return table
 
 
-def write_csv(traj: Trajectory, stream) -> None:
-    """Write a trajectory as CSV, one row per sample."""
+def write_csv(traj: Trajectory, table: np.ndarray, stream) -> None:
+    """Write a trajectory's `_sample_values` table as CSV, one row per sample."""
     writer = csv.writer(stream)
     writer.writerow(_columns(traj.spec.sig))
-    for row in _sample_values(traj):
+    for row in table:
         writer.writerow(format(v, _FLOAT_FMT) for v in row.tolist())
 
 
-def write_json(traj: Trajectory, stream) -> None:
-    """Write a trajectory as JSON with named per-sample fields."""
+def write_json(traj: Trajectory, table: np.ndarray, stream) -> None:
+    """Write a trajectory's `_sample_values` table as JSON with named per-sample fields."""
     sig = traj.spec.sig
     samples = []
-    for row in _sample_values(traj):
+    for row in table:
         vals = row.tolist()
         samples.append(
             {
@@ -124,41 +109,34 @@ def write_json(traj: Trajectory, stream) -> None:
     stream.write("\n")
 
 
-def cmd_generate(cfg: RunConfig) -> int:
-    """Generate a trajectory per the run config and write it out."""
-    spec = CurveSpec(cfg.sig, cfg.radius)
-    icfg = IntegratorConfig(cfg.psi_start, cfg.psi_end, cfg.steps, spec)
-    if cfg.mode is Provenance.CLOSED_FORM:
-        traj = closed_form_trajectory(icfg)
+def cmd_generate(args) -> int:
+    """Generate a trajectory per the parsed arguments and write it out."""
+    spec = CurveSpec(args.sig, args.radius)
+    cfg = IntegratorConfig(args.psi_start, args.psi_end, args.steps, spec)
+    if Provenance(args.mode) is Provenance.CLOSED_FORM:
+        traj = closed_form_trajectory(cfg)
     else:
-        traj = integrate(icfg, point_at(cfg.psi_start, spec))
-    # the writers refuse non-finite values; find out before the file exists
-    _sample_values(traj)
-    writer = write_csv if cfg.fmt == "csv" else write_json
-    if cfg.out is None:
-        writer(traj, sys.stdout)
+        traj = integrate(cfg, point_at(args.psi_start, spec))
+    # raises on non-finite values, so nothing is written before the file exists
+    table = _sample_values(traj)
+    writer = write_csv if args.format == "csv" else write_json
+    if args.out is None:
+        writer(traj, table, sys.stdout)
     else:
-        with open(cfg.out, "w", newline="") as fh:
-            writer(traj, fh)
+        with open(args.out, "w", newline="") as fh:
+            writer(traj, table, fh)
     return 0
 
 
 def cmd_verify(args) -> int:
-    """Run the verification sweep and print the per-cell report table."""
-    if not args.tol > 0:
-        raise _ConfigError(f"tolerance must be positive, got {args.tol}")
-    radii = args.radius if args.radius else [1.0]
-    reports = run_sweep(
-        max_sig=args.max_sig,
-        radii=radii,
-        psi_start=args.psi_start,
-        psi_end=args.psi_end,
-        samples=args.samples,
-        steps=args.steps,
-        tol=args.tol,
-        seed=args.seed,
-        fault_r_eff=args.inject_fault == "r-eff",
-    )
+    """Run the verification sweep and print the per-cell report table.
+
+    Only the flags given on the command line reach `run_sweep`; the others
+    keep the defaults of `run_sweep` and `run_cell_checks`, which validate them.
+    """
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    fault = flags.pop("inject_fault", None)
+    reports = run_sweep(**flags, fault_r_eff=fault == "r-eff")
     print(f"{'s':>3} {'r':>3} {'radius':>8} {'checks':>7} "
           f"{'worst check':<28} {'worst/bound':>12} status")
     for rep in reports:
@@ -184,20 +162,6 @@ def cmd_dims(args) -> int:
     return 0
 
 
-def _run_generate(args) -> int:
-    cfg = RunConfig(
-        sig=args.sig,
-        radius=args.radius,
-        psi_start=args.psi_start,
-        psi_end=args.psi_end,
-        steps=args.steps,
-        mode=Provenance(args.mode),
-        fmt=args.format,
-        out=args.out,
-    )
-    return cmd_generate(cfg)
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pseudohyp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -213,19 +177,21 @@ def _build_parser() -> _Parser:
                      default=Provenance.CLOSED_FORM.value)
     gen.add_argument("--format", choices=["csv", "json"], default="csv")
     gen.add_argument("--out", default=None, help="output path (default stdout)")
-    gen.set_defaults(func=_run_generate)
+    gen.set_defaults(func=cmd_generate)
 
-    ver = sub.add_parser("verify", help="run the invariant sweep over a signature grid")
-    ver.add_argument("--max-sig", type=int, default=4, help="check s, r in 1..max-sig")
-    ver.add_argument("--radius", type=float, action="append", default=None,
+    # flags left out stay out of the namespace, so the sweep's defaults apply
+    ver = sub.add_parser("verify", help="run the invariant sweep over a signature grid",
+                         argument_default=argparse.SUPPRESS)
+    ver.add_argument("--max-sig", type=int, help="check s, r in 1..max-sig")
+    ver.add_argument("--radius", type=float, action="append", dest="radii", metavar="RADIUS",
                      help="quadric constant, repeatable (default 1.0)")
-    ver.add_argument("--psi-start", type=float, default=-2.0)
-    ver.add_argument("--psi-end", type=float, default=2.0)
-    ver.add_argument("--samples", type=int, default=100, help="psi samples per cell")
-    ver.add_argument("--steps", type=int, default=2000, help="integrator intervals")
-    ver.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    ver.add_argument("--inject-fault", choices=["r-eff"], default=None,
+    ver.add_argument("--psi-start", type=float)
+    ver.add_argument("--psi-end", type=float)
+    ver.add_argument("--samples", type=int, help="psi samples per cell")
+    ver.add_argument("--steps", type=int, help="integrator intervals")
+    ver.add_argument("--tol", type=float)
+    ver.add_argument("--seed", type=int)
+    ver.add_argument("--inject-fault", choices=["r-eff"],
                      help="evaluate the curve with a wrong amplitude; the sweep "
                           "must fail for every cell with r >= 2 (self-test)")
     ver.set_defaults(func=cmd_verify)

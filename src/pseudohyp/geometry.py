@@ -239,8 +239,14 @@ def curve_derivative(spec: CurveSpec, psi, m: int) -> np.ndarray:
     arg = w * np.asarray(psi, dtype=float)
     flat = arg.ravel().tolist()
     out = np.empty((len(flat), sig.n))
-    out[:, : sig.s] = (t_amp * np.fromiter(map(t_fn, flat), float, len(flat)))[:, None]
-    out[:, sig.s :] = (x_amp * np.fromiter(map(x_fn, flat), float, len(flat)))[:, None]
+    try:
+        out[:, : sig.s] = (t_amp * np.fromiter(map(t_fn, flat), float, len(flat)))[:, None]
+        out[:, sig.s :] = (x_amp * np.fromiter(map(x_fn, flat), float, len(flat)))[:, None]
+    except OverflowError as exc:
+        raise OverflowError(
+            "the curve overflows once |psi|*sqrt(s*r) exceeds about 710, "
+            f"got {np.nanmax(np.abs(arg)):g}"
+        ) from exc
     return out.reshape(arg.shape + (sig.n,))
 
 

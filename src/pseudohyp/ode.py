@@ -10,6 +10,7 @@ scalar, which keeps integrated blocks bitwise uniform when they start uniform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -53,6 +54,10 @@ class IntegratorConfig:
         if not is_integer(self.steps) or self.steps < 1:
             raise ValueError(f"steps must be a positive integer, got {self.steps}")
         object.__setattr__(self, "steps", int(self.steps))
+        if not (math.isfinite(self.psi_start) and math.isfinite(self.psi_end)):
+            raise ValueError(
+                f"psi_start and psi_end must be finite, got {self.psi_start} and {self.psi_end}"
+            )
 
     @property
     def step(self) -> float:
@@ -144,17 +149,16 @@ def integrate(cfg: IntegratorConfig, initial: PseudoPoint) -> Trajectory:
     m = grid.shape[0]
     points = np.empty((m, cfg.spec.sig.n))
     velocities = np.empty_like(points)
-    y = initial.coords.copy()
-    points[0] = y
-    velocities[0] = _rhs(y, s)
+    points[0] = initial.coords
+    velocities[0] = _rhs(points[0], s)
     for k in range(m - 1):
-        k1 = _rhs(y, s)
+        # the first stage is the velocity already recorded for this sample
+        y, k1 = points[k], velocities[k]
         k2 = _rhs(y + 0.5 * h * k1, s)
         k3 = _rhs(y + 0.5 * h * k2, s)
         k4 = _rhs(y + h * k3, s)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        points[k + 1] = y
-        velocities[k + 1] = _rhs(y, s)
+        points[k + 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        velocities[k + 1] = _rhs(points[k + 1], s)
     return Trajectory(cfg.spec, Provenance.INTEGRATED, grid, points, velocities)
 
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundle import bundle_dim, curve_lift, project
-from .geometry import CurveSpec, Signature, curve_derivative, inner_product, point_at, velocity_at
+from .geometry import (DEFAULT_TOL, CurveSpec, Signature, curve_derivative, inner_product,
+                       point_at, velocity_at)
 from .ode import IntegratorConfig, closed_form_trajectory, convergence_order, integrate, max_deviation
 from .transform import apply, boost, isometry_defect, random_isometry
 
@@ -91,7 +92,7 @@ def run_cell_checks(
     psi_end: float = 2.0,
     samples: int = 100,
     steps: int = 2000,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
     fault_r_eff: bool = False,
 ) -> CellReport:
@@ -193,50 +194,29 @@ def run_cell_checks(
 
     # for the (1,1) plane a boost acts as a parameter shift on the curve
     if s == 1 and r == 1:
+        shift_psi = np.linspace(psi_start, psi_end, 21)
+        base = curve_derivative(spec, shift_psi, 0)
         worst_shift = 0.0
         for a in np.linspace(-1.0, 1.0, 9):
-            g = boost(sig, 0, 1, float(a))
-            for psi in np.linspace(psi_start, psi_end, 21):
-                got = apply(g, point_at(psi, spec)).coords
-                want = point_at(psi + float(a), spec).coords
-                worst_shift = max(worst_shift, float(np.max(np.abs(got - want))))
+            got = base @ boost(sig, 0, 1, float(a)).matrix.T
+            want = curve_derivative(spec, shift_psi + a, 0)
+            worst_shift = max(worst_shift, _max_abs(got - want))
         checks.append(Check("boost_translation", worst_shift, 1e-10))
 
     return CellReport(sig, radius, tuple(checks))
 
 
-def run_sweep(
-    max_sig: int = 4,
-    radii=(1.0,),
-    psi_start: float = -2.0,
-    psi_end: float = 2.0,
-    samples: int = 100,
-    steps: int = 2000,
-    tol: float = 1e-9,
-    seed: int = DEFAULT_SEED,
-    fault_r_eff: bool = False,
-):
+def run_sweep(max_sig: int = 4, radii=(1.0,), **cell):
     """Run the battery over s, r in 1..max_sig and every radius.
 
-    Returns one CellReport per (s, r, radius), ordered by (s, r, radius).
+    `cell` holds keyword arguments of `run_cell_checks`, passed to every
+    cell. Returns one CellReport per (s, r, radius), ordered by (s, r, radius).
     """
     if max_sig < 1:
         raise ValueError(f"max_sig must be at least 1, got {max_sig}")
-    reports = []
-    for s in range(1, max_sig + 1):
-        for r in range(1, max_sig + 1):
-            for radius in radii:
-                reports.append(
-                    run_cell_checks(
-                        Signature(s, r),
-                        float(radius),
-                        psi_start=psi_start,
-                        psi_end=psi_end,
-                        samples=samples,
-                        steps=steps,
-                        tol=tol,
-                        seed=seed,
-                        fault_r_eff=fault_r_eff,
-                    )
-                )
-    return reports
+    return [
+        run_cell_checks(Signature(s, r), float(radius), **cell)
+        for s in range(1, max_sig + 1)
+        for r in range(1, max_sig + 1)
+        for radius in radii
+    ]

@@ -190,3 +190,5 @@ def test_bundle_element_validation():
         BundleElement(Signature(1, 1), 1, [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         curve_derivative(CurveSpec(Signature(1, 1), 1.0), 0.0, -2)
+    with pytest.raises(OverflowError, match="710"):
+        curve_derivative(CurveSpec(Signature(1, 1), 1.0), np.array([0.0, 800.0]), 0)

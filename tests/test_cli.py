@@ -1,14 +1,18 @@
 """Tests for the command-line interface and its export formats."""
 
 import csv
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pseudohyp import CurveSpec, IntegratorConfig, Signature, closed_form_trajectory
+from pseudohyp import cli
 from pseudohyp.cli import main
+from pseudohyp.verify import run_sweep
 
 
 def read_csv(path):
@@ -96,13 +100,30 @@ def test_generate_config_errors(tmp_path, capsys):
 @pytest.mark.parametrize("extra, message", [
     (["--radius", "inf"], "finite"),
     (["--mode", "integrated", "--psi-end", "800", "--steps", "100"], "710"),
-    (["--psi-end", "800"], "error"),
+    (["--psi-end", "800"], "710"),
+    (["--psi-end", "nan"], "psi_end must be finite"),
 ])
 def test_generate_overflow_leaves_no_file(tmp_path, capsys, extra, message):
     out = tmp_path / "traj.csv"
     assert main(["generate", "--sig", "1,1", *extra, "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_generate_builds_table_once(tmp_path, monkeypatch, fmt):
+    calls = []
+    build = cli._sample_values
+
+    def counted(traj):
+        calls.append(traj)
+        return build(traj)
+
+    monkeypatch.setattr(cli, "_sample_values", counted)
+    out = tmp_path / f"traj.{fmt}"
+    assert main(["generate", "--sig", "2,3", "--steps", "8", "--format", fmt,
+                 "--out", str(out)]) == 0
+    assert len(calls) == 1
 
 
 def test_generate_unwritable_path(tmp_path, capsys):
@@ -137,6 +158,20 @@ def test_verify_small_grid_passes(capsys):
     assert len(table_rows) == 4
 
 
+def test_verify_defaults_are_the_library_defaults(monkeypatch, capsys):
+    swept = []
+
+    def sweep(**flags):
+        swept.append(run_sweep(**flags))
+        return swept[-1]
+
+    monkeypatch.setattr(cli, "run_sweep", sweep)
+    assert main(["verify", "--max-sig", "1"]) == 0
+    # every check, worst residual and bound included, as the library computes it
+    assert swept == [run_sweep(max_sig=1)]
+    assert "verification: 1/1 cells passed" in capsys.readouterr().out
+
+
 def test_verify_rejects_zero_tolerance(capsys):
     assert main(["verify", "--tol", "0"]) == 1
     assert "tolerance" in capsys.readouterr().err
@@ -157,3 +192,21 @@ def test_verify_fault_injection_fails(capsys):
 def test_missing_command_is_config_error(capsys):
     assert main([]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_benchmark_tracer_sees_every_traced_layer(tmp_path):
+    # the benchmark's --trace mode wraps these functions by name and reads
+    # the IntegratorConfig they get first; renaming them would blind it
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    with tracing.Tracer() as tracer:
+        for fmt, mode in (("csv", "integrated"), ("json", "closed_form")):
+            assert cli.main(["generate", "--sig", "1,2", "--steps", "8", "--mode", mode,
+                             "--format", fmt, "--out", str(tmp_path / f"t.{fmt}")]) == 0
+        assert cli.main(["verify", "--max-sig", "1"]) == 0
+    spans = tracer.aggregate(0, len(tracer))
+    for name in ("cli.write_csv", "cli.write_json", "ode.integrate",
+                 "ode.closed_form_trajectory", "verify.run_cell_checks"):
+        assert spans[name]["calls"] >= 1, name

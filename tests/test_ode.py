@@ -55,6 +55,9 @@ def test_integrator_config_validation():
         IntegratorConfig(0.0, 1.0, True, spec11())
     cfg = IntegratorConfig(0.0, 1.0, np.int64(5), spec11())
     assert type(cfg.steps) is int and cfg.steps == 5
+    for start, end in ((0.0, math.nan), (-math.inf, 1.0)):
+        with pytest.raises(ValueError, match="psi"):
+            IntegratorConfig(start, end, 5, spec11())
 
 
 def test_grid_hits_decimals_exactly():
