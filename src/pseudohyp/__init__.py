@@ -21,10 +21,7 @@ from .geometry import (
     PseudoPoint,
     Signature,
     curve_derivative,
-    effective_radius,
     inner_product,
-    is_h_orthogonal,
-    is_on_hyperboloid,
     point_at,
     velocity_at,
 )
@@ -45,15 +42,12 @@ from .bundle import (
     bundle_dim,
     curve_lift,
     project,
-    trivialize,
-    untrivialize,
 )
 from .transform import (
     PseudoOrthogonalMap,
     apply,
     block_rotation,
     boost,
-    is_isometry,
     isometry_defect,
     metric_matrix,
     random_isometry,
@@ -80,12 +74,8 @@ __all__ = [
     "convergence_order",
     "curve_derivative",
     "curve_lift",
-    "effective_radius",
     "inner_product",
     "integrate",
-    "is_h_orthogonal",
-    "is_isometry",
-    "is_on_hyperboloid",
     "isometry_defect",
     "max_deviation",
     "metric_matrix",
@@ -94,7 +84,5 @@ __all__ = [
     "random_isometry",
     "second_order_residual",
     "system_rhs",
-    "trivialize",
-    "untrivialize",
     "velocity_at",
 ]

@@ -1,5 +1,5 @@
 """Tangent-bundle bookkeeping: elements as nested pairs, the base projection,
-local trivialization, and derivative-tower lifts of the uniform curve.
+and derivative-tower lifts of the uniform curve.
 
 An order-p element stores 2^p * n coordinates, flattened depth first with the
 base half leading: order 0 is a bare point, order p is the pair of two
@@ -16,15 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CurveSpec, PseudoPoint, Signature, curve_derivative
+from .geometry import CurveSpec, Signature, curve_derivative
 
 __all__ = [
     "MAX_LIFT_ORDER",
     "BundleElement",
     "bundle_dim",
     "project",
-    "trivialize",
-    "untrivialize",
     "curve_derivative",
     "curve_lift",
 ]
@@ -73,42 +71,18 @@ def project(e: BundleElement) -> BundleElement:
     return BundleElement(e.sig, e.order - 1, e.coords[:half].copy())
 
 
-def trivialize(point: PseudoPoint, v: PseudoPoint) -> np.ndarray:
-    """Chart coordinates of (point, vector): the flat 2n concatenation."""
-    if point.sig != v.sig:
-        raise ValueError(
-            f"signature mismatch: point ({point.sig.s},{point.sig.r}) "
-            f"vs vector ({v.sig.s},{v.sig.r})"
-        )
-    return np.concatenate((point.coords, v.coords))
-
-
-def untrivialize(flat, sig: Signature):
-    """Inverse of `trivialize`: split a flat 2n vector back into the pair."""
-    arr = np.asarray(flat, dtype=float)
-    if arr.shape != (2 * sig.n,):
-        raise ValueError(
-            f"expected {2 * sig.n} coordinates for signature ({sig.s},{sig.r}), "
-            f"got shape {arr.shape}"
-        )
-    n = sig.n
-    return PseudoPoint(sig, arr[:n].copy()), PseudoPoint(sig, arr[n:].copy())
-
-
-def curve_lift(
-    spec: CurveSpec, psi: float, order: int, max_order: int = MAX_LIFT_ORDER
-) -> BundleElement:
+def curve_lift(spec: CurveSpec, psi: float, order: int) -> BundleElement:
     """Order-p lift of the uniform curve built from its derivative tower.
 
     The order-0 lift is the curve point itself; the order-p lift pairs the
     order-(p-1) lift with its derivative, so projecting recovers the lift one
-    order down exactly. Orders above `max_order` are rejected (the flat size
-    doubles per order).
+    order down exactly. Orders above `MAX_LIFT_ORDER` are rejected (the flat
+    size doubles per order).
     """
     if order < 0:
         raise ValueError(f"lift order must be non-negative, got {order}")
-    if order > max_order:
-        raise ValueError(f"lift order {order} above cap {max_order}")
+    if order > MAX_LIFT_ORDER:
+        raise ValueError(f"lift order {order} above cap {MAX_LIFT_ORDER}")
     tower = [curve_derivative(spec, psi, m) for m in range(order + 1)]
     slots = [tower[j.bit_count()] for j in range(1 << order)]
     return BundleElement(spec.sig, order, np.concatenate(slots))

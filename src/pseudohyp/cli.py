@@ -38,10 +38,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_sig(text: str) -> Signature:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected S,R_COUNT (for example 1,3), got {text!r}")
-    return Signature(int(parts[0]), int(parts[1]))
+    # argparse shows an ArgumentTypeError's own message, but replaces that of
+    # a ValueError with "invalid _parse_sig value"
+    try:
+        s, r = map(int, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected S,R_COUNT (for example 1,3), got {text!r}") from None
+    try:
+        return Signature(s, r)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _columns(sig: Signature):

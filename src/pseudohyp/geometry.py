@@ -28,12 +28,9 @@ __all__ = [
     "CurveSpec",
     "is_integer",
     "inner_product",
-    "effective_radius",
     "curve_derivative",
     "point_at",
     "velocity_at",
-    "is_on_hyperboloid",
-    "is_h_orthogonal",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -92,7 +89,10 @@ def _check_coords(coords, sig: Signature, what: str) -> np.ndarray:
 
 @dataclass(eq=False)
 class PseudoPoint:
-    """A point or tangent vector with coordinates [t_1..t_s, x_{s+1}..x_n]."""
+    """A point or tangent vector with coordinates [t_1..t_s, x_{s+1}..x_n].
+
+    The time-like block is coords[:s], the space-like block coords[s:].
+    """
 
     sig: Signature
     coords: np.ndarray
@@ -101,27 +101,6 @@ class PseudoPoint:
         self.coords = _check_coords(self.coords, self.sig, "point")
         if self.coords.ndim != 1:
             raise ValueError(f"a point has one row of coordinates, got shape {self.coords.shape}")
-
-    @classmethod
-    def from_blocks(cls, sig: Signature, t, x) -> "PseudoPoint":
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        if t.shape != (sig.s,) or x.shape != (sig.r,):
-            raise ValueError(
-                f"blocks must have lengths ({sig.s}, {sig.r}), "
-                f"got ({t.shape}, {x.shape})"
-            )
-        return cls(sig, np.concatenate((t, x)))
-
-    @property
-    def t(self) -> np.ndarray:
-        """Time-like block."""
-        return self.coords[: self.sig.s]
-
-    @property
-    def x(self) -> np.ndarray:
-        """Space-like block."""
-        return self.coords[self.sig.s :]
 
 
 @dataclass(frozen=True)
@@ -138,12 +117,13 @@ class CurveSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "radius", float(self.radius))
-        effective_radius(self.radius, self.sig)  # rejects a bad radius
+        if not (self.radius > 0 and math.isfinite(self.radius)):
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
 
     @property
     def r_eff(self) -> float:
-        """Curve amplitude R/sqrt(r)."""
-        return effective_radius(self.radius, self.sig)
+        """Curve amplitude R/sqrt(r); r * r_eff**2 == radius**2 to machine precision."""
+        return self.radius / math.sqrt(self.sig.r)
 
     @property
     def frequency(self) -> float:
@@ -199,16 +179,6 @@ def inner_product(u, v, sig: Signature):
         err = err + (q + e)
     res = total + err
     return float(res) if np.ndim(res) == 0 else res
-
-
-def effective_radius(radius: float, sig: Signature) -> float:
-    """Amplitude R/sqrt(r) that puts the uniform curve on the quadric of R.
-
-    Satisfies r * effective_radius**2 == radius**2 to machine precision.
-    """
-    if not (radius > 0 and math.isfinite(radius)):
-        raise ValueError(f"radius must be positive and finite, got {radius}")
-    return radius / math.sqrt(sig.r)
 
 
 def curve_derivative(spec: CurveSpec, psi, m: int) -> np.ndarray:
@@ -267,22 +237,3 @@ def velocity_at(psi: float, spec: CurveSpec) -> PseudoPoint:
     orthogonal to the point in the signature product.
     """
     return PseudoPoint(spec.sig, curve_derivative(spec, psi, 1))
-
-
-def is_on_hyperboloid(p: PseudoPoint, radius: float, tol: float = DEFAULT_TOL) -> bool:
-    """True when |<p, p> - radius^2| <= tol."""
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    return abs(inner_product(p, p, p.sig) - radius * radius) <= tol
-
-
-def is_h_orthogonal(p: PseudoPoint, v: PseudoPoint, tol: float = DEFAULT_TOL) -> bool:
-    """True when |<p, v>| <= tol in the signature product."""
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    if p.sig != v.sig:
-        raise ValueError(
-            f"signature mismatch: point ({p.sig.s},{p.sig.r}) "
-            f"vs vector ({v.sig.s},{v.sig.r})"
-        )
-    return abs(inner_product(p, v, p.sig)) <= tol

@@ -1,5 +1,5 @@
 """Linear maps preserving the signature product: hyperbolic boosts in mixed
-planes, Euclidean rotations in same-sign planes, and isometry verification.
+planes, Euclidean rotations in same-sign planes, and their isometry defect.
 
 A map M is an isometry of the product when M^T eta M = eta, with eta the
 diagonal sign matrix. Boosts and block rotations generate the maps used here;
@@ -21,7 +21,6 @@ __all__ = [
     "boost",
     "block_rotation",
     "apply",
-    "is_isometry",
     "isometry_defect",
     "random_isometry",
 ]
@@ -39,7 +38,7 @@ def metric_matrix(sig: Signature) -> np.ndarray:
 class PseudoOrthogonalMap:
     """An n x n real map intended to preserve the signature product.
 
-    Construction only checks the shape; use `is_isometry` to verify the
+    Construction only checks the shape; `isometry_defect` measures the
     defining property (deliberately wrong maps must be constructible so the
     check has something to reject).
     """
@@ -139,13 +138,6 @@ def isometry_defect(m: PseudoOrthogonalMap) -> float:
     """Max-norm of M^T eta M - eta; zero for an exact isometry."""
     eta = metric_matrix(m.sig)
     return float(np.max(np.abs(m.matrix.T @ eta @ m.matrix - eta)))
-
-
-def is_isometry(m: PseudoOrthogonalMap, tol: float = 1e-12) -> bool:
-    """True when the map preserves the product matrix to within tol."""
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    return isometry_defect(m) <= tol
 
 
 def random_isometry(sig: Signature, rng) -> PseudoOrthogonalMap:

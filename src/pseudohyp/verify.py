@@ -101,8 +101,10 @@ def run_cell_checks(
         raise ValueError(f"tolerance must be positive, got {tol}")
     if samples < 2:
         raise ValueError(f"need at least 2 psi samples, got {samples}")
+    spec = CurveSpec(sig, radius)  # rejects a bad radius before it seeds the generator
     rng = np.random.default_rng([seed, sig.s, sig.r, int(round(radius * 1e6))])
-    spec = CurveSpec(sig, radius * math.sqrt(sig.r)) if fault_r_eff else CurveSpec(sig, radius)
+    if fault_r_eff:
+        spec = CurveSpec(sig, radius * math.sqrt(sig.r))
     s, r, n = sig.s, sig.r, sig.n
     r2 = radius * radius
     w = spec.frequency

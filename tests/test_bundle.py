@@ -1,4 +1,4 @@
-"""Tests for bundle dimensions, projection, trivialization, and curve lifts."""
+"""Tests for bundle dimensions, projection, and curve lifts."""
 
 import math
 
@@ -6,17 +6,16 @@ import numpy as np
 import pytest
 
 from pseudohyp import (
+    MAX_LIFT_ORDER,
     BundleElement,
     CurveSpec,
-    PseudoPoint,
     Signature,
     bundle_dim,
     curve_derivative,
     curve_lift,
     point_at,
     project,
-    trivialize,
-    untrivialize,
+    velocity_at,
 )
 
 SMALL_SIGS = [Signature(s, r) for s in range(1, 4) for r in range(1, 4)]
@@ -75,37 +74,18 @@ def test_lift_projection_consistency(sig, order):
 
 
 def test_trivialize_example():
-    sig = Signature(1, 1)
-    flat = trivialize(PseudoPoint(sig, [0.0, 1.0]), PseudoPoint(sig, [1.0, 0.0]))
-    assert np.array_equal(flat, [0.0, 1.0, 1.0, 0.0])
-
-
-def test_trivialize_roundtrip_exact():
-    rng = np.random.default_rng(5)
-    for sig in SMALL_SIGS:
-        p = PseudoPoint(sig, rng.uniform(-4, 4, sig.n))
-        v = PseudoPoint(sig, rng.uniform(-4, 4, sig.n))
-        q, w = untrivialize(trivialize(p, v), sig)
-        assert np.array_equal(q.coords, p.coords)
-        assert np.array_equal(w.coords, v.coords)
+    # the order-1 lift is the chart pair (point, velocity) flattened: at
+    # psi = 0 the (1,1) curve sits at (0, 1) and moves along (1, 0)
+    e = curve_lift(CurveSpec(Signature(1, 1), 1.0), 0.0, 1)
+    assert np.array_equal(e.coords, [0.0, 1.0, 1.0, 0.0])
 
 
 def test_trivialize_length_matches_bundle_dim():
-    from pseudohyp import velocity_at
-
     for sig in SMALL_SIGS:
         spec = CurveSpec(sig, 1.0)
-        flat = trivialize(point_at(0.4, spec), velocity_at(0.4, spec))
+        flat = np.concatenate((point_at(0.4, spec).coords, velocity_at(0.4, spec).coords))
         assert flat.shape == (bundle_dim(sig.n, 1),)
-
-
-def test_trivialize_errors():
-    p = PseudoPoint(Signature(1, 1), [0.0, 1.0])
-    v = PseudoPoint(Signature(1, 2), [1.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        trivialize(p, v)
-    with pytest.raises(ValueError):
-        untrivialize([1.0, 2.0, 3.0], Signature(1, 1))
+        assert np.array_equal(curve_lift(spec, 0.4, 1).coords, flat)
 
 
 def test_curve_lift_order0_is_point():
@@ -177,10 +157,10 @@ def test_lift_dims_match_bundle_dim():
 
 def test_lift_order_cap():
     spec = CurveSpec(Signature(1, 1), 1.0)
-    with pytest.raises(ValueError):
+    e = curve_lift(spec, 0.0, MAX_LIFT_ORDER)
+    assert MAX_LIFT_ORDER == 6 and e.coords.shape == (bundle_dim(2, 6),)
+    with pytest.raises(ValueError, match="above cap 6"):
         curve_lift(spec, 0.0, 7)
-    e = curve_lift(spec, 0.0, 7, max_order=7)
-    assert e.coords.shape == (bundle_dim(2, 7),)
     with pytest.raises(ValueError):
         curve_lift(spec, 0.0, -1)
 

@@ -93,7 +93,9 @@ def test_generate_config_errors(tmp_path, capsys):
     assert main(["generate", "--sig", "1,1", "--steps", "0", "--out", str(out)]) == 1
     assert "error" in capsys.readouterr().err
     assert main(["generate", "--sig", "1", "--out", str(out)]) == 1
+    assert "expected S,R_COUNT (for example 1,3), got '1'" in capsys.readouterr().err
     assert main(["generate", "--sig", "0,2", "--out", str(out)]) == 1
+    assert "signature needs s >= 1 and r >= 1, got (0, 2)" in capsys.readouterr().err
     assert main(["generate", "--sig", "1,1", "--radius", "0", "--out", str(out)]) == 1
 
 
@@ -175,6 +177,14 @@ def test_verify_defaults_are_the_library_defaults(monkeypatch, capsys):
 def test_verify_rejects_zero_tolerance(capsys):
     assert main(["verify", "--tol", "0"]) == 1
     assert "tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", [[], ["--inject-fault", "r-eff"]], ids=["plain", "fault"])
+@pytest.mark.parametrize("radius", ["nan", "inf", "-1"])
+def test_verify_rejects_bad_radius(capsys, radius, fault):
+    assert main(["verify", "--radius", radius, *fault]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: radius must be positive and finite, got {float(radius)}\n"
 
 
 def test_verify_fault_injection_fails(capsys):

@@ -41,8 +41,7 @@ def test_system_rhs_zero_point():
 def test_system_rhs_hand_sums():
     # sum of x-block is 6, sum of t-block is 2
     v = system_rhs(PseudoPoint(Signature(2, 3), [1.0, 1.0, 2.0, 2.0, 2.0]))
-    assert np.array_equal(v.t, [6.0, 6.0])
-    assert np.array_equal(v.x, [2.0, 2.0, 2.0])
+    assert np.array_equal(v.coords, [6.0, 6.0, 2.0, 2.0, 2.0])
 
 
 def test_integrator_config_validation():

@@ -1,0 +1,22 @@
+"""Tests that the public names and the README's example stay in step with the code."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.mark.parametrize(
+    "module", ["pseudohyp"] + [f"pseudohyp.{m}" for m in
+                               ("geometry", "ode", "bundle", "transform", "verify", "cli")])
+def test_star_import_finds_every_exported_name(module):
+    # raises AttributeError for a name left in __all__ after its definition is gone
+    exec(f"from {module} import *", {})
+
+
+def test_readme_quick_start_runs():
+    block = re.search(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert block is not None
+    exec(compile(block.group(1), str(README), "exec"), {})
