@@ -3,11 +3,11 @@
 The library models the real quadric -sum(t_i^2) + sum(x_j^2) = R^2 and the
 curve family whose s time-like coordinates share one sinh and whose r
 space-like coordinates share one cosh, all at the single frequency sqrt(s*r).
-It provides:
+Points and tangent vectors are numpy arrays of n = s + r coordinates, maps
+are (n, n) arrays. It provides:
 
-- the coordinate type, the row-wise signature inner product and the
-  closed-form curve with all its derivatives, scalar or over psi arrays
-  (`geometry`)
+- the row-wise signature inner product and the closed-form curve with all
+  its derivatives, scalar or over psi arrays (`geometry`)
 - the coupled linear flow the curve solves, integrated with a fixed-step
   fourth-order scheme and cross-checked against the closed form (`ode`)
 - tangent-bundle dimension accounting and derivative-tower lifts (`bundle`)
@@ -18,7 +18,6 @@ It provides:
 from .geometry import (
     DEFAULT_TOL,
     CurveSpec,
-    PseudoPoint,
     Signature,
     curve_derivative,
     inner_product,
@@ -44,12 +43,10 @@ from .bundle import (
     project,
 )
 from .transform import (
-    PseudoOrthogonalMap,
     apply,
     block_rotation,
     boost,
     isometry_defect,
-    metric_matrix,
     random_isometry,
 )
 
@@ -62,8 +59,6 @@ __all__ = [
     "CurveSpec",
     "IntegratorConfig",
     "Provenance",
-    "PseudoOrthogonalMap",
-    "PseudoPoint",
     "Signature",
     "Trajectory",
     "apply",
@@ -78,7 +73,6 @@ __all__ = [
     "integrate",
     "isometry_defect",
     "max_deviation",
-    "metric_matrix",
     "point_at",
     "project",
     "random_isometry",

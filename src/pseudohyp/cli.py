@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -129,9 +130,23 @@ def cmd_generate(args) -> int:
     writer = write_csv if args.format == "csv" else write_json
     if args.out is None:
         writer(traj, table, sys.stdout)
-    else:
+    elif os.path.exists(args.out) and not os.path.isfile(args.out):
+        # a device or FIFO, such as /dev/stdout, cannot be renamed over
         with open(args.out, "w", newline="") as fh:
             writer(traj, table, fh)
+    else:
+        # a file is written beside its target (through any symlink) and
+        # renamed over it, so a failed write leaves no partial file
+        target = os.path.realpath(args.out)
+        tmp = f"{target}.{os.getpid()}.tmp"
+        fh = open(tmp, "x", newline="")
+        try:
+            with fh:
+                writer(traj, table, fh)
+            os.replace(tmp, target)
+        except BaseException:
+            os.remove(tmp)
+            raise
     return 0
 
 

@@ -1,13 +1,13 @@
-"""Signature (s, r) geometry: coordinates, the indefinite inner product, and
-the uniform sinh/cosh curve family on the constant-form quadric.
+"""Signature (s, r) geometry: the indefinite inner product and the uniform
+sinh/cosh curve family on the constant-form quadric.
 
-Coordinates are laid out as [t-block | x-block]: s time-like axes carrying
-weight -1 in the product, followed by r space-like axes carrying weight +1.
-The quadric of constant R is the set -sum(t_i^2) + sum(x_j^2) = R^2, and the
-curve family produced by `point_at` stays on it for every parameter value.
-
-`PseudoPoint` holds points and tangent vectors alike. `curve_derivative`
-and `inner_product` also work on whole arrays of samples, one row each.
+Points and tangent vectors are plain arrays of n = s + r coordinates, laid
+out as [t-block | x-block]: s time-like axes carrying weight -1 in the
+product, followed by r space-like axes carrying weight +1. The quadric of
+constant R is the set -sum(t_i^2) + sum(x_j^2) = R^2, and the curve family
+produced by `point_at` stays on it for every parameter value.
+`curve_derivative` and `inner_product` also work on whole arrays of samples,
+one row each.
 
 Everything here is a pure function of its inputs; values can be shared freely
 across threads.
@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "DEFAULT_TOL",
     "Signature",
-    "PseudoPoint",
     "CurveSpec",
     "is_integer",
     "inner_product",
@@ -87,22 +86,6 @@ def _check_coords(coords, sig: Signature, what: str) -> np.ndarray:
     return arr
 
 
-@dataclass(eq=False)
-class PseudoPoint:
-    """A point or tangent vector with coordinates [t_1..t_s, x_{s+1}..x_n].
-
-    The time-like block is coords[:s], the space-like block coords[s:].
-    """
-
-    sig: Signature
-    coords: np.ndarray
-
-    def __post_init__(self):
-        self.coords = _check_coords(self.coords, self.sig, "point")
-        if self.coords.ndim != 1:
-            raise ValueError(f"a point has one row of coordinates, got shape {self.coords.shape}")
-
-
 @dataclass(frozen=True)
 class CurveSpec:
     """Parameters of the uniform curve: a signature and the quadric constant R.
@@ -131,17 +114,6 @@ class CurveSpec:
         return math.sqrt(self.sig.s * self.sig.r)
 
 
-def _as_coords(obj, sig: Signature, what: str) -> np.ndarray:
-    if isinstance(obj, PseudoPoint):
-        if obj.sig != sig:
-            raise ValueError(
-                f"{what} has signature ({obj.sig.s},{obj.sig.r}), "
-                f"expected ({sig.s},{sig.r})"
-            )
-        return obj.coords
-    return _check_coords(obj, sig, what)
-
-
 def _two_product(a, b):
     # Dekker's TwoProduct: h + e == a * b exactly, barring over/underflow
     h = a * b
@@ -164,14 +136,14 @@ def _two_sum(a, b):
 def inner_product(u, v, sig: Signature):
     """Indefinite product -sum_{t-block} u_i*v_i + sum_{x-block} u_j*v_j.
 
-    Takes PseudoPoint values (of signature `sig`) or arrays of shape (n,),
-    giving a float, or (..., n), giving one product per row. The blocks
-    cancel almost exactly for on-quadric pairs, so the terms are summed
-    with Dot2 (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26(6), 2005), one
-    column at a time: |res - exact| <= u*|exact| + gamma_n^2 * sum|u_i*v_i|.
+    Takes arrays of shape (n,), giving a float, or (..., n), giving one
+    product per row. The blocks cancel almost exactly for on-quadric pairs,
+    so the terms are summed with Dot2 (Ogita, Rump & Oishi, SIAM J. Sci.
+    Comput. 26(6), 2005), one column at a time:
+    |res - exact| <= u*|exact| + gamma_n^2 * sum|u_i*v_i|.
     """
-    u_cols = np.moveaxis(_as_coords(u, sig, "u"), -1, 0)
-    v_cols = np.moveaxis(_as_coords(v, sig, "v"), -1, 0)
+    u_cols = np.moveaxis(_check_coords(u, sig, "u"), -1, 0)
+    v_cols = np.moveaxis(_check_coords(v, sig, "v"), -1, 0)
     total = err = 0.0
     for i, (a, b) in enumerate(zip(u_cols, v_cols)):
         h, e = _two_product(-a if i < sig.s else a, b)
@@ -220,20 +192,20 @@ def curve_derivative(spec: CurveSpec, psi, m: int) -> np.ndarray:
     return out.reshape(arg.shape + (sig.n,))
 
 
-def point_at(psi: float, spec: CurveSpec) -> PseudoPoint:
-    """Point of the uniform curve at parameter psi.
+def point_at(psi: float, spec: CurveSpec) -> np.ndarray:
+    """Point of the uniform curve at parameter psi, an (n,) array.
 
     Every time-like coordinate equals sqrt(r/s) * R_eff * sinh(sqrt(s*r)*psi)
     and every space-like coordinate equals R_eff * cosh(sqrt(s*r)*psi).
     """
-    return PseudoPoint(spec.sig, curve_derivative(spec, psi, 0))
+    return curve_derivative(spec, psi, 0)
 
 
-def velocity_at(psi: float, spec: CurveSpec) -> PseudoPoint:
-    """Parameter derivative of `point_at`.
+def velocity_at(psi: float, spec: CurveSpec) -> np.ndarray:
+    """Parameter derivative of `point_at`, an (n,) array.
 
     Time-like components are r * R_eff * cosh(sqrt(s*r)*psi), space-like
     components sqrt(s*r) * R_eff * sinh(sqrt(s*r)*psi). The result is
     orthogonal to the point in the signature product.
     """
-    return PseudoPoint(spec.sig, curve_derivative(spec, psi, 1))
+    return curve_derivative(spec, psi, 1)

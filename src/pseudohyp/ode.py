@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import CurveSpec, PseudoPoint, curve_derivative, is_integer, point_at
+from .geometry import CurveSpec, Signature, curve_derivative, is_integer, point_at
 
 __all__ = [
     "Provenance",
@@ -113,52 +113,49 @@ class Trajectory:
         return self.psi.shape[0]
 
 
-def _rhs(coords: np.ndarray, s: int) -> np.ndarray:
-    # dt_i = sum of x-block for every i, dx_j = sum of t-block for every j;
-    # each sum is computed once and broadcast, keeping blocks bit-identical.
-    out = np.empty_like(coords)
-    out[:s] = coords[s:].sum()
-    out[s:] = coords[:s].sum()
-    return out
-
-
-def system_rhs(point: PseudoPoint) -> PseudoPoint:
-    """Right-hand side of the flow at a point, as a tangent vector.
+def system_rhs(y: np.ndarray, sig: Signature) -> np.ndarray:
+    """Right-hand side of the flow at the point y of n coordinates.
 
     Every space-like derivative is the sum of the time-like coordinates and
     every time-like derivative is the sum of the space-like ones; the shared
-    value per block is what drives the uniform parametrization.
+    value per block is what drives the uniform parametrization. Each sum is
+    computed once and broadcast, keeping the blocks bit-identical.
     """
-    return PseudoPoint(point.sig, _rhs(point.coords, point.sig.s))
+    s = sig.s
+    out = np.empty_like(y)
+    out[:s] = y[s:].sum()
+    out[s:] = y[:s].sum()
+    return out
 
 
-def integrate(cfg: IntegratorConfig, initial: PseudoPoint) -> Trajectory:
+def integrate(cfg: IntegratorConfig, initial: np.ndarray) -> Trajectory:
     """Classic four-stage fixed-step integration of the flow.
 
-    Velocities are recorded from the right-hand side at every sample.
-    Deterministic for fixed inputs.
+    `initial` is the start point, an (n,) array. Velocities are recorded
+    from the right-hand side at every sample. Deterministic for fixed inputs.
     """
-    if initial.sig != cfg.spec.sig:
+    sig = cfg.spec.sig
+    y0 = np.asarray(initial, dtype=float)
+    if y0.shape != (sig.n,):
         raise ValueError(
-            f"initial point signature ({initial.sig.s},{initial.sig.r}) does not "
-            f"match config ({cfg.spec.sig.s},{cfg.spec.sig.r})"
+            f"initial point must have shape ({sig.n},) for signature "
+            f"({sig.s},{sig.r}), got shape {y0.shape}"
         )
     grid = cfg.grid()
-    s = cfg.spec.sig.s
     h = cfg.step
     m = grid.shape[0]
-    points = np.empty((m, cfg.spec.sig.n))
+    points = np.empty((m, sig.n))
     velocities = np.empty_like(points)
-    points[0] = initial.coords
-    velocities[0] = _rhs(points[0], s)
+    points[0] = y0
+    velocities[0] = system_rhs(points[0], sig)
     for k in range(m - 1):
         # the first stage is the velocity already recorded for this sample
         y, k1 = points[k], velocities[k]
-        k2 = _rhs(y + 0.5 * h * k1, s)
-        k3 = _rhs(y + 0.5 * h * k2, s)
-        k4 = _rhs(y + h * k3, s)
+        k2 = system_rhs(y + 0.5 * h * k1, sig)
+        k3 = system_rhs(y + 0.5 * h * k2, sig)
+        k4 = system_rhs(y + h * k3, sig)
         points[k + 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        velocities[k + 1] = _rhs(points[k + 1], s)
+        velocities[k + 1] = system_rhs(points[k + 1], sig)
     return Trajectory(cfg.spec, Provenance.INTEGRATED, grid, points, velocities)
 
 
@@ -224,6 +221,10 @@ def convergence_order(
     step_counts = list(step_counts)
     if len(step_counts) < 3:
         raise ValueError("need at least 3 step counts for a slope fit")
+    if psi_start == psi_end:
+        raise ValueError(
+            f"a slope fit needs a step size above zero, got psi_start == psi_end == {psi_start:g}"
+        )
     hs = []
     devs = []
     initial = point_at(psi_start, spec)

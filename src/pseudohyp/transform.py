@@ -1,23 +1,21 @@
 """Linear maps preserving the signature product: hyperbolic boosts in mixed
 planes, Euclidean rotations in same-sign planes, and their isometry defect.
 
-A map M is an isometry of the product when M^T eta M = eta, with eta the
-diagonal sign matrix. Boosts and block rotations generate the maps used here;
-compose them with the @ operator.
+A map is an n x n array M; it is an isometry of the product when
+M^T eta M = eta, with eta = np.diag(sig.signs) the diagonal sign matrix.
+Boosts and block rotations generate the maps used here; compose them with
+the @ operator, starting from np.eye(n).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PseudoPoint, Signature
+from .geometry import Signature
 
 __all__ = [
-    "PseudoOrthogonalMap",
-    "metric_matrix",
     "boost",
     "block_rotation",
     "apply",
@@ -29,43 +27,7 @@ _MAX_GENERATORS = 5
 _MAX_RAPIDITY = 0.6
 
 
-def metric_matrix(sig: Signature) -> np.ndarray:
-    """Diagonal matrix of the product weights, diag(-1 x s, +1 x r)."""
-    return np.diag(sig.signs)
-
-
-@dataclass(eq=False)
-class PseudoOrthogonalMap:
-    """An n x n real map intended to preserve the signature product.
-
-    Construction only checks the shape; `isometry_defect` measures the
-    defining property (deliberately wrong maps must be constructible so the
-    check has something to reject).
-    """
-
-    sig: Signature
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        n = self.sig.n
-        if self.matrix.shape != (n, n):
-            raise ValueError(
-                f"expected a ({n}, {n}) matrix for signature "
-                f"({self.sig.s},{self.sig.r}), got shape {self.matrix.shape}"
-            )
-
-    @classmethod
-    def identity(cls, sig: Signature) -> "PseudoOrthogonalMap":
-        return cls(sig, np.eye(sig.n))
-
-    def __matmul__(self, other: "PseudoOrthogonalMap") -> "PseudoOrthogonalMap":
-        if self.sig != other.sig:
-            raise ValueError("cannot compose maps over different signatures")
-        return PseudoOrthogonalMap(self.sig, self.matrix @ other.matrix)
-
-
-def boost(sig: Signature, time_axis: int, space_axis: int, rapidity: float) -> PseudoOrthogonalMap:
+def boost(sig: Signature, time_axis: int, space_axis: int, rapidity: float) -> np.ndarray:
     """Hyperbolic rotation in the mixed plane (time_axis, space_axis).
 
     Axes index the full coordinate vector, zero based: time_axis picks one of
@@ -87,10 +49,10 @@ def boost(sig: Signature, time_axis: int, space_axis: int, rapidity: float) -> P
     m[time_axis, space_axis] = sh
     m[space_axis, time_axis] = sh
     m[space_axis, space_axis] = c
-    return PseudoOrthogonalMap(sig, m)
+    return m
 
 
-def block_rotation(sig: Signature, axis1: int, axis2: int, angle: float) -> PseudoOrthogonalMap:
+def block_rotation(sig: Signature, axis1: int, axis2: int, angle: float) -> np.ndarray:
     """Euclidean rotation in a plane of two like-sign axes.
 
     Both axes must be time-like or both space-like (a mixed plane needs a
@@ -113,39 +75,40 @@ def block_rotation(sig: Signature, axis1: int, axis2: int, angle: float) -> Pseu
     m[axis1, axis2] = -sn
     m[axis2, axis1] = sn
     m[axis2, axis2] = c
-    return PseudoOrthogonalMap(sig, m)
+    return m
 
 
-def apply(m: PseudoOrthogonalMap, obj):
-    """Linear action on a PseudoPoint or a raw coordinate vector.
+def apply(m: np.ndarray, x) -> np.ndarray:
+    """Linear action of the (n, n) map m on a point (n,) or on rows (..., n).
 
-    Returns the same kind of value it was given. For an isometry the image of
-    an on-quadric point stays on the quadric of the same constant.
+    For an isometry the image of an on-quadric point stays on the quadric of
+    the same constant.
     """
-    if isinstance(obj, PseudoPoint):
-        if obj.sig != m.sig:
-            raise ValueError("point signature does not match the map")
-        return PseudoPoint(m.sig, m.matrix @ obj.coords)
-    arr = np.asarray(obj, dtype=float)
-    if arr.shape != (m.sig.n,):
+    m = np.asarray(m, dtype=float)
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim < 1 or arr.shape[-1] != m.shape[-1]:
+        raise ValueError(f"expected {m.shape[-1]} coordinates per point, got shape {arr.shape}")
+    return arr @ m.T
+
+
+def isometry_defect(m: np.ndarray, sig: Signature) -> float:
+    """Max-norm of M^T eta M - eta; zero for an exact isometry of `sig`."""
+    m = np.asarray(m, dtype=float)
+    if m.shape != (sig.n, sig.n):
         raise ValueError(
-            f"expected {m.sig.n} coordinates, got shape {arr.shape}"
+            f"expected a ({sig.n}, {sig.n}) matrix for signature "
+            f"({sig.s},{sig.r}), got shape {m.shape}"
         )
-    return m.matrix @ arr
+    eta = np.diag(sig.signs)
+    return float(np.max(np.abs(m.T @ eta @ m - eta)))
 
 
-def isometry_defect(m: PseudoOrthogonalMap) -> float:
-    """Max-norm of M^T eta M - eta; zero for an exact isometry."""
-    eta = metric_matrix(m.sig)
-    return float(np.max(np.abs(m.matrix.T @ eta @ m.matrix - eta)))
-
-
-def random_isometry(sig: Signature, rng) -> PseudoOrthogonalMap:
+def random_isometry(sig: Signature, rng) -> np.ndarray:
     """Product of 1 to 5 random boosts and rotations drawn from `rng`.
 
     Rotations get a uniform angle, boosts a rapidity in [-0.6, 0.6].
     """
-    m = PseudoOrthogonalMap.identity(sig)
+    m = np.eye(sig.n)
     blocks = []
     if sig.s >= 2:
         blocks.append((0, sig.s))

@@ -47,7 +47,7 @@ def test_project_order_one_recovers_base():
     e = curve_lift(spec, 0.8, 1)
     base = project(e)
     assert base.order == 0
-    assert np.array_equal(base.coords, point_at(0.8, spec).coords)
+    assert np.array_equal(base.coords, point_at(0.8, spec))
 
 
 def test_project_requires_positive_order():
@@ -83,7 +83,7 @@ def test_trivialize_example():
 def test_trivialize_length_matches_bundle_dim():
     for sig in SMALL_SIGS:
         spec = CurveSpec(sig, 1.0)
-        flat = np.concatenate((point_at(0.4, spec).coords, velocity_at(0.4, spec).coords))
+        flat = np.concatenate((point_at(0.4, spec), velocity_at(0.4, spec)))
         assert flat.shape == (bundle_dim(sig.n, 1),)
         assert np.array_equal(curve_lift(spec, 0.4, 1).coords, flat)
 
@@ -92,7 +92,7 @@ def test_curve_lift_order0_is_point():
     for sig in SMALL_SIGS:
         spec = CurveSpec(sig, 1.3)
         for psi in (-0.9, 0.0, 0.55):
-            assert np.array_equal(curve_lift(spec, psi, 0).coords, point_at(psi, spec).coords)
+            assert np.array_equal(curve_lift(spec, psi, 0).coords, point_at(psi, spec))
 
 
 def test_curve_lift_order1_base_case():
@@ -114,9 +114,9 @@ def test_curve_lift_second_derivative_fd_crosscheck():
     h = 1e-4
     psi = 0.6
     fd = (
-        point_at(psi + h, spec).coords
-        - 2.0 * point_at(psi, spec).coords
-        + point_at(psi - h, spec).coords
+        point_at(psi + h, spec)
+        - 2.0 * point_at(psi, spec)
+        + point_at(psi - h, spec)
     ) / (h * h)
     d2 = curve_derivative(spec, psi, 2)
     assert np.max(np.abs(fd - d2)) <= 1e-6 * max(1.0, float(np.max(np.abs(d2))))

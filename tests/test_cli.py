@@ -4,6 +4,9 @@ import csv
 import importlib.util
 import json
 import math
+import os
+import stat
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +131,47 @@ def test_generate_builds_table_once(tmp_path, monkeypatch, fmt):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_generate_io_error_leaves_no_file(tmp_path, monkeypatch, capsys, fmt):
+    def failing(traj, table, stream):
+        stream.write("psi,t_1\n0,0\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, f"write_{fmt}", failing)
+    out = tmp_path / f"traj.{fmt}"
+    assert main(["generate", "--sig", "1,1", "--format", fmt, "--out", str(out)]) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_generate_file_gets_plain_open_permissions(tmp_path):
+    out = tmp_path / "traj.csv"
+    assert main(["generate", "--sig", "1,1", "--steps", "4", "--out", str(out)]) == 0
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    assert out.stat().st_mode == plain.stat().st_mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain", "traj.csv"]
+
+
+def test_generate_out_keeps_symlinks_and_fifos(tmp_path):
+    real = tmp_path / "real.csv"
+    real.write_text("old")
+    link = tmp_path / "link.csv"
+    link.symlink_to(real)
+    assert main(["generate", "--sig", "1,1", "--steps", "4", "--out", str(link)]) == 0
+    assert link.is_symlink() and real.read_text().startswith("psi,")
+    # a FIFO is written in place, not replaced by a regular file
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert main(["generate", "--sig", "1,1", "--steps", "4", "--out", str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive() and got[0].startswith("psi,")
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
 def test_generate_unwritable_path(tmp_path, capsys):
     missing = tmp_path / "no_such_dir" / "traj.csv"
     code = main(["generate", "--sig", "1,1", "--out", str(missing)])
@@ -185,6 +229,20 @@ def test_verify_rejects_bad_radius(capsys, radius, fault):
     assert main(["verify", "--radius", radius, *fault]) == 1
     err = capsys.readouterr().err
     assert err == f"error: radius must be positive and finite, got {float(radius)}\n"
+
+
+def test_verify_rejects_zero_length_interval(capsys):
+    assert main(["verify", "--psi-start", "5", "--psi-end", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "psi_start == psi_end" in err
+
+
+@pytest.mark.parametrize("fault", [[], ["--inject-fault", "r-eff"]], ids=["plain", "fault"])
+@pytest.mark.parametrize("radius", ["1e-300", "1e200"])
+def test_verify_rejects_radius_with_unrepresentable_square(capsys, radius, fault):
+    assert main(["verify", "--max-sig", "1", "--radius", radius, *fault]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "[1.5e-154, 1.3e154]" in err
 
 
 def test_verify_fault_injection_fails(capsys):

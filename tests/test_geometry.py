@@ -8,7 +8,6 @@ import pytest
 
 from pseudohyp import (
     CurveSpec,
-    PseudoPoint,
     Signature,
     inner_product,
     point_at,
@@ -39,20 +38,21 @@ def test_signature_signs():
 
 def test_point_and_vector_blocks():
     sig = Signature(2, 3)
-    p = PseudoPoint(sig, [1.0, 2.0, 3.0, 4.0, 5.0])
-    assert np.array_equal(p.coords, [1, 2, 3, 4, 5])
-    assert np.array_equal(p.coords[: sig.s], [1, 2])
-    assert np.array_equal(p.coords[sig.s :], [3, 4, 5])
-    v = PseudoPoint(sig, [1.0, 1.0, 0.0, 0.0, 2.0])
-    assert np.array_equal(v.coords[: sig.s], [1, 1])
-    assert np.array_equal(v.coords[sig.s :], [0, 0, 2])
+    p = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    assert np.array_equal(p[: sig.s], [1, 2])
+    assert np.array_equal(p[sig.s :], [3, 4, 5])
+    v = np.array([1.0, 1.0, 0.0, 0.0, 2.0])
+    assert np.array_equal(v[: sig.s], [1, 1])
+    assert np.array_equal(v[sig.s :], [0, 0, 2])
+    spec = CurveSpec(sig, 1.0)
+    assert point_at(0.3, spec).shape == velocity_at(0.3, spec).shape == (sig.n,)
 
 
 def test_point_validation():
-    with pytest.raises(ValueError):
-        PseudoPoint(Signature(1, 1), [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        PseudoPoint(Signature(2, 2), [0.0])
+    with pytest.raises(ValueError, match="signature"):
+        inner_product([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], Signature(1, 1))
+    with pytest.raises(ValueError, match="signature"):
+        inner_product([0.0], [0.0], Signature(2, 2))
 
 
 @pytest.mark.parametrize("radius", RADII)
@@ -124,8 +124,8 @@ def test_inner_product_exact_oracle():
     for radius in RADII:
         spec = CurveSpec(sig, radius)
         for psi in np.linspace(-3.0, 3.0, 61):
-            p = point_at(psi, spec).coords
-            v = velocity_at(psi, spec).coords
+            p = point_at(psi, spec)
+            v = velocity_at(psi, spec)
             for a, b in ((p, p), (p, v), (v, v)):
                 terms = [Fraction(x) * Fraction(y) for x, y in zip(a, b)]
                 exact = sum(terms[sig.s :]) - sum(terms[: sig.s])
@@ -155,7 +155,7 @@ def test_effective_radius_rejects_nonpositive():
 def test_effective_radius_puts_curve_on_quadric():
     # independent evaluation of the form, plain signed sum over the blocks
     spec = CurveSpec(Signature(3, 4), 2.0)
-    t, x = np.split(point_at(0.7, spec).coords, [3])
+    t, x = np.split(point_at(0.7, spec), [3])
     form = -sum(c * c for c in t) + sum(c * c for c in x)
     assert abs(form - 4.0) <= 1e-12
 
@@ -164,7 +164,7 @@ def test_effective_radius_puts_curve_on_quadric():
 @pytest.mark.parametrize("radius", RADII)
 def test_point_at_initial_condition(sig, radius):
     spec = CurveSpec(sig, radius)
-    p = point_at(0.0, spec).coords
+    p = point_at(0.0, spec)
     assert np.all(p[: sig.s] == 0.0)
     assert np.all(p[sig.s :] == spec.r_eff)
 
@@ -173,16 +173,16 @@ def test_point_at_base_case_bitwise():
     spec = CurveSpec(Signature(1, 1), 1.0)
     for psi in np.linspace(-3, 3, 50):
         p = point_at(psi, spec)
-        assert p.coords[0] == math.sinh(psi)
-        assert p.coords[1] == math.cosh(psi)
+        assert p[0] == math.sinh(psi)
+        assert p[1] == math.cosh(psi)
 
 
 def test_point_at_two_two_example():
     spec = CurveSpec(Signature(2, 2), math.sqrt(2.0))
     p = point_at(0.5, spec)
     want = [math.sinh(1.0), math.sinh(1.0), math.cosh(1.0), math.cosh(1.0)]
-    assert np.array_equal(p.coords, want)
-    t, x = np.split(p.coords, [2])
+    assert np.array_equal(p, want)
+    t, x = np.split(p, [2])
     form = -sum(c * c for c in t) + sum(c * c for c in x)
     assert abs(form - 2.0) <= 1e-12
 
@@ -192,9 +192,9 @@ def test_point_uniformity_bitwise():
     for sig in SIGS:
         spec = CurveSpec(sig, 1.5)
         for psi in rng.uniform(-3, 3, 10):
-            for block in np.split(point_at(psi, spec).coords, [sig.s]):
+            for block in np.split(point_at(psi, spec), [sig.s]):
                 assert np.all(block == block[0])
-            for block in np.split(velocity_at(psi, spec).coords, [sig.s]):
+            for block in np.split(velocity_at(psi, spec), [sig.s]):
                 assert np.all(block == block[0])
 
 
@@ -202,14 +202,14 @@ def test_velocity_base_case_bitwise():
     spec = CurveSpec(Signature(1, 1), 1.0)
     for psi in np.linspace(-3, 3, 50):
         v = velocity_at(psi, spec)
-        assert v.coords[0] == math.cosh(psi)
-        assert v.coords[1] == math.sinh(psi)
+        assert v[0] == math.cosh(psi)
+        assert v[1] == math.sinh(psi)
 
 
 @pytest.mark.parametrize("sig", SIGS)
 def test_velocity_at_zero(sig):
     spec = CurveSpec(sig, 2.0)
-    v = velocity_at(0.0, spec).coords
+    v = velocity_at(0.0, spec)
     assert np.all(v[: sig.s] == sig.r * spec.r_eff)
     assert np.all(v[sig.s :] == 0.0)
 
@@ -218,10 +218,10 @@ def test_velocity_two_two_example():
     spec = CurveSpec(Signature(2, 2), math.sqrt(2.0))
     v = velocity_at(0.5, spec)
     want = [2 * math.cosh(1.0), 2 * math.cosh(1.0), 2 * math.sinh(1.0), 2 * math.sinh(1.0)]
-    assert np.array_equal(v.coords, want)
+    assert np.array_equal(v, want)
     p = point_at(0.5, spec)
     # independent orthogonality check, plain signed sum
-    (pt, px), (vt, vx) = np.split(p.coords, [2]), np.split(v.coords, [2])
+    (pt, px), (vt, vx) = np.split(p, [2]), np.split(v, [2])
     form = -sum(a * b for a, b in zip(pt, vt)) + sum(a * b for a, b in zip(px, vx))
     assert abs(form) <= 1e-12
 
@@ -233,8 +233,8 @@ def test_velocity_matches_finite_difference(sig, radius):
     h = 1e-5
     bound = 1e-8 * max(1.0, sig.r * spec.r_eff)
     for psi in np.linspace(-0.9, 0.9, 19):
-        fd = (point_at(psi + h, spec).coords - point_at(psi - h, spec).coords) / (2 * h)
-        assert np.max(np.abs(fd - velocity_at(psi, spec).coords)) <= bound
+        fd = (point_at(psi + h, spec) - point_at(psi - h, spec)) / (2 * h)
+        assert np.max(np.abs(fd - velocity_at(psi, spec))) <= bound
 
 
 @pytest.mark.parametrize("sig", SIGS)
@@ -265,7 +265,7 @@ def test_is_on_hyperboloid_examples():
     sig = Signature(1, 1)
     p = point_at(1.3, CurveSpec(sig, 1.0))
     assert abs(inner_product(p, p, sig) - 1.0) <= 1e-12
-    null_point = PseudoPoint(sig, [1.0, 1.0])
+    null_point = np.array([1.0, 1.0])
     assert abs(inner_product(null_point, null_point, sig) - 1.0) > 1e-12
 
 
@@ -292,18 +292,18 @@ def test_is_h_orthogonal_curve_pairs():
 
 def test_is_h_orthogonal_examples():
     sig = Signature(1, 1)
-    p = PseudoPoint(sig, [0.0, 2.0])
+    p = np.array([0.0, 2.0])
     for c in (-3.0, 0.5, 7.0):
-        assert abs(inner_product(p, PseudoPoint(sig, [c, 0.0]), sig)) <= 1e-15
-    q = PseudoPoint(sig, [1.0, 2.0])
-    assert abs(inner_product(q, PseudoPoint(sig, [1.0, 2.0]), sig)) > 1e-10
+        assert abs(inner_product(p, np.array([c, 0.0]), sig)) <= 1e-15
+    q = np.array([1.0, 2.0])
+    assert abs(inner_product(q, np.array([1.0, 2.0]), sig)) > 1e-10
 
 
 def test_is_h_orthogonal_signature_mismatch():
-    p = PseudoPoint(Signature(1, 1), [0.0, 1.0])
-    v = PseudoPoint(Signature(1, 2), [1.0, 0.0, 0.0])
+    p = np.array([0.0, 1.0])
+    v = np.array([1.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="signature"):
-        inner_product(p, v, p.sig)
+        inner_product(p, v, Signature(1, 1))
 
 
 def test_curvespec_properties():

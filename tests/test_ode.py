@@ -9,7 +9,6 @@ from pseudohyp import (
     CurveSpec,
     IntegratorConfig,
     Provenance,
-    PseudoPoint,
     Signature,
     Trajectory,
     closed_form_trajectory,
@@ -29,19 +28,19 @@ def spec11(radius=1.0):
 
 @pytest.mark.parametrize("radius", (0.5, 1.0, 2.0))
 def test_system_rhs_base_case(radius):
-    v = system_rhs(PseudoPoint(Signature(1, 1), [0.0, radius]))
-    assert v.coords[0] == radius
-    assert v.coords[1] == 0.0
+    v = system_rhs(np.array([0.0, radius]), Signature(1, 1))
+    assert v[0] == radius
+    assert v[1] == 0.0
 
 
 def test_system_rhs_zero_point():
-    assert np.all(system_rhs(PseudoPoint(Signature(2, 3), np.zeros(5))).coords == 0.0)
+    assert np.all(system_rhs(np.zeros(5), Signature(2, 3)) == 0.0)
 
 
 def test_system_rhs_hand_sums():
     # sum of x-block is 6, sum of t-block is 2
-    v = system_rhs(PseudoPoint(Signature(2, 3), [1.0, 1.0, 2.0, 2.0, 2.0]))
-    assert np.array_equal(v.coords, [6.0, 6.0, 2.0, 2.0, 2.0])
+    v = system_rhs(np.array([1.0, 1.0, 2.0, 2.0, 2.0]), Signature(2, 3))
+    assert np.array_equal(v, [6.0, 6.0, 2.0, 2.0, 2.0])
 
 
 def test_integrator_config_validation():
@@ -79,15 +78,17 @@ def test_zero_span_single_sample():
     initial = point_at(1.5, spec)
     traj = integrate(cfg, initial)
     assert len(traj) == 1
-    assert np.array_equal(traj.points[0], initial.coords)
+    assert np.array_equal(traj.points[0], initial)
     ref = closed_form_trajectory(cfg)
     assert len(ref) == 1 and ref.psi[0] == 1.5
 
 
 def test_integrate_signature_mismatch():
     cfg = IntegratorConfig(0.0, 1.0, 10, spec11())
-    with pytest.raises(ValueError):
-        integrate(cfg, PseudoPoint(Signature(1, 2), [0.0, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="signature"):
+        integrate(cfg, np.array([0.0, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="signature"):
+        integrate(cfg, np.zeros((1, 2)))
 
 
 def test_integrate_base_case_oracle():
@@ -132,8 +133,8 @@ def test_closed_form_matches_point_at_bitwise():
     spec = CurveSpec(Signature(3, 2), 1.5)
     traj = closed_form_trajectory(IntegratorConfig(-0.7, 1.3, 13, spec))
     for k, psi in enumerate(traj.psi):
-        assert np.array_equal(traj.points[k], point_at(psi, spec).coords)
-        assert np.array_equal(traj.velocities[k], velocity_at(psi, spec).coords)
+        assert np.array_equal(traj.points[k], point_at(psi, spec))
+        assert np.array_equal(traj.velocities[k], velocity_at(psi, spec))
     for m in range(4):
         rows = [curve_derivative(spec, psi, m) for psi in traj.psi]
         assert np.array_equal(curve_derivative(spec, traj.psi, m), rows)
@@ -236,6 +237,8 @@ def test_convergence_order_estimate():
 def test_convergence_order_needs_three_counts():
     with pytest.raises(ValueError):
         convergence_order(spec11(), 0.0, 1.0, (100, 200))
+    with pytest.raises(ValueError, match="psi_start == psi_end"):
+        convergence_order(spec11(), 5.0, 5.0, (60, 120, 240))
 
 
 def test_trajectory_monotonicity_validation():

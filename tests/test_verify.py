@@ -47,3 +47,11 @@ def test_cell_checks_validation():
         run_cell_checks(Signature(1, 1), 1.0, samples=1)
     with pytest.raises(ValueError):
         run_sweep(max_sig=0)
+
+
+def test_boost_translation_bound_scales_with_radius():
+    # the shift error is relative to the curve's size, about 2.3e-15 * R
+    rep = run_cell_checks(Signature(1, 1), 1e5)
+    shift = next(c for c in rep.checks if c.name == "boost_translation")
+    assert shift.passed and shift.bound == 1e-10 * 1e5
+    assert rep.passed
