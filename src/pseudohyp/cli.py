@@ -24,7 +24,11 @@ __all__ = ["cmd_generate", "cmd_verify", "cmd_dims", "main"]
 
 # Trajectory numbers are written with 17 significant decimal digits, enough
 # for any binary64 value to survive a write/parse round trip bit-exactly.
-_FLOAT_FMT = ".17g"
+_FLOAT_FMT = "%.17g"
+
+# The writers format and write this many rows at a time, so the text they
+# hold stays the same size however long the trajectory is.
+_BLOCK_ROWS = 256
 
 
 class _ConfigError(Exception):
@@ -81,40 +85,62 @@ def _sample_values(traj: Trajectory) -> np.ndarray:
     return table
 
 
+def _check_resolved(cfg: IntegratorConfig) -> None:
+    """Raise ValueError when the RK4 step is too coarse to resolve the curve.
+
+    The flow has the modes e^(+-w*psi), w = sqrt(s*r). One RK4 step of size h
+    multiplies the decaying one by R4(-h*w), R4(z) = 1 + z + z^2/2 + z^3/6 +
+    z^4/24; once |R4(-h*w)| >= 1 it grows instead (h*w >= about 2.785).
+    """
+    z = -abs(cfg.step) * cfg.spec.frequency
+    if z != 0 and abs(1 + z + z * z / 2 + z**3 / 6 + z**4 / 24) >= 1:
+        raise ValueError(
+            f"integrated step h*sqrt(s*r) = {-z:g} is too coarse to resolve the curve: "
+            "RK4 needs |R4(-h*sqrt(s*r))| < 1, that is h*sqrt(s*r) below about 2.785; "
+            "use more --steps"
+        )
+
+
 def write_csv(traj: Trajectory, table: np.ndarray, stream) -> None:
-    """Write a trajectory's `_sample_values` table as CSV, one row per sample."""
-    writer = csv.writer(stream)
-    writer.writerow(_columns(traj.spec.sig))
-    for row in table:
-        writer.writerow(format(v, _FLOAT_FMT) for v in row.tolist())
+    """Write a trajectory's `_sample_values` table as CSV, one row per sample.
+
+    The bytes are those of `csv.writer` with every value formatted by
+    `_FLOAT_FMT`: no formatted number needs quoting, and lines end in CRLF.
+    """
+    csv.writer(stream).writerow(_columns(traj.spec.sig))
+    line = ",".join([_FLOAT_FMT] * table.shape[1]) + "\r\n"
+    for i in range(0, len(table), _BLOCK_ROWS):
+        stream.write("".join([line % tuple(row) for row in table[i : i + _BLOCK_ROWS].tolist()]))
+
+
+def _json_sample(sig: Signature) -> str:
+    # one entry of "samples" as json.dump(indent=2) lays it out, a %r per value
+    def array(name, k):
+        return f'      "{name}": [\n' + ",\n".join(["        %r"] * k) + "\n      ]"
+
+    fields = ['      "psi": %r', array("t", sig.s), array("x", sig.r), array("dt", sig.s),
+              array("dx", sig.r), '      "form_residual": %r', '      "ortho_residual": %r']
+    return "\n    {\n" + ",\n".join(fields) + "\n    }"
 
 
 def write_json(traj: Trajectory, table: np.ndarray, stream) -> None:
-    """Write a trajectory's `_sample_values` table as JSON with named per-sample fields."""
+    """Write a trajectory's `_sample_values` table as JSON with named per-sample fields.
+
+    The bytes are those of `json.dump(doc, stream, indent=2)` followed by a
+    newline, where doc holds s, r, radius, mode and one dict per sample
+    (psi, t, x, dt, dx, form_residual, ortho_residual). Each float goes
+    through `%r`: `json` writes a float as its repr, except for NaN and
+    infinities, which `_sample_values` has already rejected. The table has
+    at least one row, since every psi grid has a sample.
+    """
     sig = traj.spec.sig
-    samples = []
-    for row in table:
-        vals = row.tolist()
-        samples.append(
-            {
-                "psi": vals[0],
-                "t": vals[1 : 1 + sig.s],
-                "x": vals[1 + sig.s : 1 + sig.n],
-                "dt": vals[1 + sig.n : 1 + sig.n + sig.s],
-                "dx": vals[1 + sig.n + sig.s : 1 + 2 * sig.n],
-                "form_residual": vals[-2],
-                "ortho_residual": vals[-1],
-            }
-        )
-    doc = {
-        "s": sig.s,
-        "r": sig.r,
-        "radius": traj.spec.radius,
-        "mode": traj.provenance.value,
-        "samples": samples,
-    }
-    json.dump(doc, stream, indent=2)
-    stream.write("\n")
+    stream.write('{\n  "s": %d,\n  "r": %d,\n  "radius": %r,\n  "mode": %s,\n  "samples": ['
+                 % (sig.s, sig.r, traj.spec.radius, json.dumps(traj.provenance.value)))
+    sample = _json_sample(sig)
+    for i in range(0, len(table), _BLOCK_ROWS):
+        rows = table[i : i + _BLOCK_ROWS].tolist()
+        stream.write(("," if i else "") + ",".join([sample % tuple(row) for row in rows]))
+    stream.write("\n  ]\n}\n")
 
 
 def cmd_generate(args) -> int:
@@ -127,6 +153,8 @@ def cmd_generate(args) -> int:
         traj = integrate(cfg, point_at(args.psi_start, spec))
     # raises on non-finite values, so nothing is written before the file exists
     table = _sample_values(traj)
+    if traj.provenance is Provenance.INTEGRATED:
+        _check_resolved(cfg)
     writer = write_csv if args.format == "csv" else write_json
     if args.out is None:
         writer(traj, table, sys.stdout)

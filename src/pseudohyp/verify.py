@@ -33,6 +33,7 @@ _FD_PSI = np.linspace(-0.9, 0.9, 19)
 _LIFT_PSI = np.array([-0.8, 0.3, 0.9])
 _CONVERGENCE_STEPS = (60, 120, 240)
 _TRANSFORM_TRIALS = 24
+_PEAK_MAX = 1e152
 
 
 @dataclass(frozen=True)
@@ -110,10 +111,22 @@ def run_cell_checks(
             f"normal float, got {radius:g}"
         )
     rng = np.random.default_rng([seed, sig.s, sig.r, int(round(radius * 1e6))])
+    # inner products sum squared coordinates: on the grid their partial sums
+    # reach 2*s*r*(R*cosh(w*psi))^2, and the isometry images at |psi| <= 1 up
+    # to e^6 times that (five boosts of rapidity <= 0.6); with
+    # sqrt(s*r)*R*e^(w*psi) <= _PEAK_MAX both stay below 2*e^6*1e304 < 1.8e308
+    w = spec.frequency
+    psi_reach = max(abs(psi_start), abs(psi_end), 1.0)
+    radius_max = math.exp(math.log(_PEAK_MAX / w) - w * psi_reach)
+    if radius > radius_max:
+        raise ValueError(
+            f"sqrt(s*r) * R * exp(sqrt(s*r) * max(|psi|, 1)) must stay below {_PEAK_MAX:g}, "
+            f"so that the inner products stay finite; for (s, r) = ({sig.s}, {sig.r}) and "
+            f"|psi| up to {psi_reach:g} that caps the radius at {radius_max:.6g}, got {radius:g}"
+        )
     if fault_r_eff:
         spec = CurveSpec(sig, radius * math.sqrt(sig.r))
     s, r, n = sig.s, sig.r, sig.n
-    w = spec.frequency
     checks = []
 
     # closed-form invariants on the psi grid

@@ -2,17 +2,21 @@
 
 import csv
 import importlib.util
+import io
 import json
 import math
 import os
 import stat
 import threading
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pseudohyp import CurveSpec, IntegratorConfig, Signature, closed_form_trajectory
+from pseudohyp import (CurveSpec, IntegratorConfig, Signature, closed_form_trajectory, integrate,
+                       point_at)
 from pseudohyp import cli
 from pseudohyp.cli import main
 from pseudohyp.verify import run_sweep
@@ -71,6 +75,126 @@ def test_generate_json_roundtrip_bitexact(tmp_path):
         assert np.array_equal(sample["dt"] + sample["dx"], traj.velocities[k])
 
 
+def reference_csv(traj, table, stream):
+    # the writer as csv.writer, one formatted value at a time
+    writer = csv.writer(stream)
+    writer.writerow(cli._columns(traj.spec.sig))
+    for row in table:
+        writer.writerow(format(v, ".17g") for v in row.tolist())
+
+
+def reference_json(traj, table, stream):
+    # the writer as json.dump of one dict per sample
+    sig = traj.spec.sig
+    samples = []
+    for row in table:
+        vals = row.tolist()
+        samples.append(
+            {
+                "psi": vals[0],
+                "t": vals[1 : 1 + sig.s],
+                "x": vals[1 + sig.s : 1 + sig.n],
+                "dt": vals[1 + sig.n : 1 + sig.n + sig.s],
+                "dx": vals[1 + sig.n + sig.s : 1 + 2 * sig.n],
+                "form_residual": vals[-2],
+                "ortho_residual": vals[-1],
+            }
+        )
+    doc = {
+        "s": sig.s,
+        "r": sig.r,
+        "radius": traj.spec.radius,
+        "mode": traj.provenance.value,
+        "samples": samples,
+    }
+    json.dump(doc, stream, indent=2)
+    stream.write("\n")
+
+
+WRITERS = {"csv": (cli.write_csv, reference_csv), "json": (cli.write_json, reference_json)}
+
+
+def written(writer, traj, table):
+    stream = io.StringIO(newline="")
+    writer(traj, table, stream)
+    return stream.getvalue()
+
+
+def parsed(fmt, text):
+    """The table read back from a writer's output."""
+    if fmt == "csv":
+        return np.loadtxt(io.StringIO(text, newline=""), delimiter=",", skiprows=1, ndmin=2)
+    return np.array([[d["psi"], *d["t"], *d["x"], *d["dt"], *d["dx"], d["form_residual"],
+                      d["ortho_residual"]] for d in json.loads(text)["samples"]])
+
+
+def trajectory(sig, mode, rows):
+    spec = CurveSpec(Signature(*sig), 1.7)
+    # one row is the zero-length interval, which has a single sample
+    cfg = IntegratorConfig(-1.5, -1.5 if rows == 1 else 2.5, max(rows - 1, 1), spec)
+    if mode == "closed_form":
+        return closed_form_trajectory(cfg)
+    return integrate(cfg, point_at(cfg.psi_start, spec))
+
+
+@pytest.mark.parametrize("mode", ["closed_form", "integrated"])
+@pytest.mark.parametrize("sig", [(1, 1), (2, 3), (3, 1), (4, 4)])
+def test_writers_match_reference_writers(sig, mode):
+    block = cli._BLOCK_ROWS
+    for rows in (1, block - 1, block, block + 1, 2 * block + 1):
+        traj = trajectory(sig, mode, rows)
+        table = cli._sample_values(traj)
+        assert len(table) == rows
+        for fmt, (writer, reference) in WRITERS.items():
+            text = written(writer, traj, table)
+            assert text == written(reference, traj, table), (fmt, rows)
+            assert parsed(fmt, text).tobytes() == table.tobytes(), (fmt, rows)
+
+
+def test_writers_match_reference_on_hand_made_values():
+    # signed zero, the smallest subnormal, extremes, and values whose shortest
+    # repr and 17-digit forms differ; seven values fill one (1,1) row
+    values = [-0.0, 5e-324, 1e300, -1e-300, 0.1, 1e16, 123456789012345680.0]
+    table = np.array([np.roll(values, k) for k in range(len(values))])
+    traj = trajectory((1, 1), "closed_form", len(values))
+    for fmt, (writer, reference) in WRITERS.items():
+        text = written(writer, traj, table)
+        assert text == written(reference, traj, table), fmt
+        assert parsed(fmt, text).tobytes() == table.tobytes(), fmt
+
+
+class RecordingStream:
+    """A text stream that keeps only the length of each write."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writers_stream_in_blocks(fmt):
+    # both tables repeat one block of rows, so every block formats alike
+    traj = trajectory((4, 4), "closed_form", cli._BLOCK_ROWS)
+    block = cli._sample_values(traj)
+    largest, peak = [], []
+    for table in (np.tile(block, (4, 1)), np.tile(block, (8, 1))):
+        stream = RecordingStream()
+        tracemalloc.start()
+        try:
+            WRITERS[fmt][0](traj, table, stream)
+            peak.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        largest.append(max(stream.sizes))
+    # a whole-table write grows with the table; json.dump writes small pieces
+    # but builds the whole document first, which only the memory peak shows
+    assert largest[0] == largest[1]
+    assert peak[1] < 1.25 * peak[0]
+
+
 def test_generate_to_stdout(capsys):
     assert main(["generate", "--sig", "1,1", "--steps", "4"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -113,6 +237,22 @@ def test_generate_overflow_leaves_no_file(tmp_path, capsys, extra, message):
     assert main(["generate", "--sig", "1,1", *extra, "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_generate_rejects_unresolved_integrated_step(tmp_path, capsys):
+    # h*sqrt(s*r) = 346: RK4 grows the decaying mode, and the parent wrote
+    # values near 1e17 with exit 0
+    out = tmp_path / "traj.csv"
+    argv = ["generate", "--sig", "4,4", "--mode", "integrated", "--psi-end", "170",
+            "--steps", "2", "--out", str(out)]
+    assert main(argv) == 1
+    assert "h*sqrt(s*r) = 346" in capsys.readouterr().err
+    assert not out.exists()
+    # |R4(-2.7)| < 1 < |R4(-2.9)|, and the closed form has no step to resolve
+    coarse = ["generate", "--sig", "1,1", "--psi-start", "0", "--steps", "1", "--out", str(out)]
+    assert main([*coarse, "--mode", "integrated", "--psi-end", "2.7"]) == 0
+    assert main([*coarse, "--mode", "integrated", "--psi-end", "2.9"]) == 1
+    assert main([*coarse, "--mode", "closed_form", "--psi-end", "2.9"]) == 0
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -243,6 +383,25 @@ def test_verify_rejects_radius_with_unrepresentable_square(capsys, radius, fault
     assert main(["verify", "--max-sig", "1", "--radius", radius, *fault]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "[1.5e-154, 1.3e154]" in err
+
+
+def test_verify_rejects_radius_whose_products_overflow(capsys):
+    # R^2 is finite, but s*r*(R*cosh(2))^2 is not; the parent reported nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--max-sig", "1", "--radius", "1.3e154"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "caps the radius at 1.35335e+151" in err
+
+
+def test_verify_admits_its_largest_radius(capsys):
+    # 1e152 / (sqrt(s*r) * e^(sqrt(s*r)*2)) for (1,1) at the default |psi| <= 2
+    largest = math.exp(math.log(1e152) - 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--max-sig", "1", "--radius", repr(largest)]) == 0
+        assert main(["verify", "--max-sig", "1", "--radius", repr(largest * 1.001)]) == 1
+    assert "verification: 1/1 cells passed" in capsys.readouterr().out
 
 
 def test_verify_fault_injection_fails(capsys):
