@@ -10,7 +10,8 @@ are (n, n) arrays. It provides:
   its derivatives, scalar or over psi arrays (`geometry`)
 - the coupled linear flow the curve solves, integrated with a fixed-step
   fourth-order scheme and cross-checked against the closed form (`ode`)
-- tangent-bundle dimension accounting and derivative-tower lifts (`bundle`)
+- tangent-bundle dimension accounting and derivative-tower lifts, plain
+  arrays of 2^p * n coordinates per psi (`bundle`)
 - product-preserving linear maps built from boosts and rotations (`transform`)
 - a CLI for trajectory export and a verification sweep (`cli`, `verify`)
 """
@@ -35,13 +36,7 @@ from .ode import (
     second_order_residual,
     system_rhs,
 )
-from .bundle import (
-    MAX_LIFT_ORDER,
-    BundleElement,
-    bundle_dim,
-    curve_lift,
-    project,
-)
+from .bundle import MAX_LIFT_ORDER, bundle_dim, curve_lift
 from .transform import (
     apply,
     block_rotation,
@@ -55,7 +50,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_TOL",
     "MAX_LIFT_ORDER",
-    "BundleElement",
     "CurveSpec",
     "IntegratorConfig",
     "Provenance",
@@ -74,7 +68,6 @@ __all__ = [
     "isometry_defect",
     "max_deviation",
     "point_at",
-    "project",
     "random_isometry",
     "second_order_residual",
     "system_rhs",

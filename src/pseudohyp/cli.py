@@ -17,7 +17,8 @@ import numpy as np
 
 from .bundle import bundle_dim
 from .geometry import CurveSpec, Signature, inner_product, point_at
-from .ode import IntegratorConfig, Provenance, Trajectory, closed_form_trajectory, integrate
+from .ode import (IntegratorConfig, Provenance, Trajectory, check_resolved, closed_form_trajectory,
+                  integrate)
 from .verify import run_sweep
 
 __all__ = ["cmd_generate", "cmd_verify", "cmd_dims", "main"]
@@ -85,22 +86,6 @@ def _sample_values(traj: Trajectory) -> np.ndarray:
     return table
 
 
-def _check_resolved(cfg: IntegratorConfig) -> None:
-    """Raise ValueError when the RK4 step is too coarse to resolve the curve.
-
-    The flow has the modes e^(+-w*psi), w = sqrt(s*r). One RK4 step of size h
-    multiplies the decaying one by R4(-h*w), R4(z) = 1 + z + z^2/2 + z^3/6 +
-    z^4/24; once |R4(-h*w)| >= 1 it grows instead (h*w >= about 2.785).
-    """
-    z = -abs(cfg.step) * cfg.spec.frequency
-    if z != 0 and abs(1 + z + z * z / 2 + z**3 / 6 + z**4 / 24) >= 1:
-        raise ValueError(
-            f"integrated step h*sqrt(s*r) = {-z:g} is too coarse to resolve the curve: "
-            "RK4 needs |R4(-h*sqrt(s*r))| < 1, that is h*sqrt(s*r) below about 2.785; "
-            "use more --steps"
-        )
-
-
 def write_csv(traj: Trajectory, table: np.ndarray, stream) -> None:
     """Write a trajectory's `_sample_values` table as CSV, one row per sample.
 
@@ -154,7 +139,7 @@ def cmd_generate(args) -> int:
     # raises on non-finite values, so nothing is written before the file exists
     table = _sample_values(traj)
     if traj.provenance is Provenance.INTEGRATED:
-        _check_resolved(cfg)
+        check_resolved(cfg)
     writer = write_csv if args.format == "csv" else write_json
     if args.out is None:
         writer(traj, table, sys.stdout)
@@ -259,7 +244,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (_ConfigError, ValueError, OverflowError) as exc:
+    except (_ConfigError, ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

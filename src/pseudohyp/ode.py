@@ -21,6 +21,7 @@ from .geometry import CurveSpec, Signature, curve_derivative, is_integer, point_
 __all__ = [
     "Provenance",
     "IntegratorConfig",
+    "check_resolved",
     "Trajectory",
     "system_rhs",
     "integrate",
@@ -111,6 +112,22 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.psi.shape[0]
+
+
+def check_resolved(cfg: IntegratorConfig) -> None:
+    """Raise ValueError when the RK4 step is too coarse to resolve the curve.
+
+    The flow has the modes e^(+-w*psi), w = sqrt(s*r). One RK4 step of size h
+    multiplies the decaying one by R4(-h*w), R4(z) = 1 + z + z^2/2 + z^3/6 +
+    z^4/24; once |R4(-h*w)| >= 1 it grows instead (h*w >= about 2.785).
+    """
+    z = -abs(cfg.step) * cfg.spec.frequency
+    if z != 0 and abs(1 + z + z * z / 2 + z**3 / 6 + z**4 / 24) >= 1:
+        raise ValueError(
+            f"integrated step h*sqrt(s*r) = {-z:g} is too coarse to resolve the curve: "
+            "RK4 needs |R4(-h*sqrt(s*r))| < 1, that is h*sqrt(s*r) below about 2.785; "
+            "use more --steps"
+        )
 
 
 def system_rhs(y: np.ndarray, sig: Signature) -> np.ndarray:

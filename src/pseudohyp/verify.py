@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import bundle_dim, curve_lift, project
+from .bundle import bundle_dim, curve_lift
 from .geometry import (DEFAULT_TOL, CurveSpec, Signature, curve_derivative, inner_product,
                        point_at, velocity_at)
-from .ode import IntegratorConfig, closed_form_trajectory, convergence_order, integrate, max_deviation
+from .ode import (IntegratorConfig, check_resolved, closed_form_trajectory, convergence_order,
+                  integrate, max_deviation)
 from .transform import apply, boost, isometry_defect, random_isometry
 
 __all__ = ["DEFAULT_SEED", "Check", "CellReport", "run_cell_checks", "run_sweep"]
@@ -124,6 +125,22 @@ def run_cell_checks(
             f"so that the inner products stay finite; for (s, r) = ({sig.s}, {sig.r}) and "
             f"|psi| up to {psi_reach:g} that caps the radius at {radius_max:.6g}, got {radius:g}"
         )
+    # the bound below assumes every step count the cell integrates is resolved
+    for k in (steps, *_CONVERGENCE_STEPS):
+        check_resolved(IntegratorConfig(psi_start, psi_end, k, spec))
+    # RK4 rounding seeds the flow's growing mode at up to steps*u*|y0|, and the
+    # mode multiplies it by e^(w*span); bounding sqrt(s*r)*R*steps*u*e^(w*(|psi_start|
+    # + span)) by _PEAK_MAX keeps the products along the integrated flow finite too
+    steps_max = max(steps, *_CONVERGENCE_STEPS)
+    flow_max = math.exp(math.log(_PEAK_MAX / (w * steps_max * 2.0**-53))
+                        - w * (abs(psi_start) + abs(psi_end - psi_start)))
+    if radius > flow_max:
+        raise ValueError(
+            f"sqrt(s*r) * R * steps * 2^-53 * exp(sqrt(s*r) * (|psi_start| + span)) must stay "
+            f"below {_PEAK_MAX:g}, so that the integrated flow's rounding stays finite; for "
+            f"(s, r) = ({sig.s}, {sig.r}), psi in [{psi_start:g}, {psi_end:g}] and {steps_max} "
+            f"steps that caps the radius at {flow_max:.6g}, got {radius:g}"
+        )
     if fault_r_eff:
         spec = CurveSpec(sig, radius * math.sqrt(sig.r))
     s, r, n = sig.s, sig.r, sig.n
@@ -169,19 +186,17 @@ def run_cell_checks(
     slope = convergence_order(spec, psi_start, psi_end, _CONVERGENCE_STEPS)
     checks.append(Check("convergence_order", abs(slope - 4.0), 0.3))
 
-    # bundle bookkeeping on the lift tower
-    worst_dim = worst_proj = worst_lift_fd = 0.0
-    for psi in _LIFT_PSI:
-        lifts = [curve_lift(spec, psi, p) for p in range(5)]
-        for p, e in enumerate(lifts):
-            worst_dim = max(worst_dim, abs(e.coords.shape[0] - bundle_dim(n, p)))
-            if p >= 1:
-                worst_proj = max(worst_proj, _max_abs(project(e).coords - lifts[p - 1].coords))
+    # bundle bookkeeping on the lift tower, one whole-array lift per order
+    lifts = [curve_lift(spec, _LIFT_PSI, p) for p in range(5)]
+    worst_dim = float(max(abs(e.shape[-1] - bundle_dim(n, p)) for p, e in enumerate(lifts)))
+    worst_proj = max(_max_abs(e[:, : e.shape[-1] // 2] - lifts[p - 1])
+                     for p, e in enumerate(lifts) if p >= 1)
     # the tower itself, each row scaled by its own magnitude
     d0 = (s * r) * curve_derivative(spec, _LIFT_PSI, 0)
     d2 = curve_derivative(spec, _LIFT_PSI, 2)
     worst_second = _max_abs((d2 - d0) / np.max(np.abs(d0), axis=1, keepdims=True))
     hh = 1e-4
+    worst_lift_fd = 0.0
     for m_ord in range(1, 4):
         ahead = curve_derivative(spec, _LIFT_PSI + hh, m_ord - 1)
         fd = (ahead - curve_derivative(spec, _LIFT_PSI - hh, m_ord - 1)) / (2 * hh)

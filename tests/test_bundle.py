@@ -1,4 +1,4 @@
-"""Tests for bundle dimensions, projection, and curve lifts."""
+"""Tests for bundle dimensions and curve lifts, with the base projection as a slice."""
 
 import math
 
@@ -7,18 +7,17 @@ import pytest
 
 from pseudohyp import (
     MAX_LIFT_ORDER,
-    BundleElement,
     CurveSpec,
     Signature,
     bundle_dim,
     curve_derivative,
     curve_lift,
     point_at,
-    project,
     velocity_at,
 )
 
 SMALL_SIGS = [Signature(s, r) for s in range(1, 4) for r in range(1, 4)]
+PSI_ROWS = np.array([-0.8, 0.0, 0.37, 0.9])
 
 
 def test_bundle_dim_values():
@@ -45,23 +44,7 @@ def test_project_order_one_recovers_base():
     sig = Signature(1, 1)
     spec = CurveSpec(sig, 1.0)
     e = curve_lift(spec, 0.8, 1)
-    base = project(e)
-    assert base.order == 0
-    assert np.array_equal(base.coords, point_at(0.8, spec))
-
-
-def test_project_requires_positive_order():
-    e = BundleElement(Signature(1, 1), 0, [1.0, 2.0])
-    with pytest.raises(ValueError):
-        project(e)
-
-
-def test_project_nested_layout():
-    sig = Signature(1, 2)
-    e = BundleElement(sig, 2, np.arange(12.0))
-    first = project(e)
-    assert first.order == 1
-    assert np.array_equal(first.coords, np.arange(6.0))
+    assert np.array_equal(e[: e.shape[-1] // 2], point_at(0.8, spec))
 
 
 @pytest.mark.parametrize("sig", SMALL_SIGS)
@@ -70,14 +53,20 @@ def test_lift_projection_consistency(sig, order):
     spec = CurveSpec(sig, 1.0)
     lifted = curve_lift(spec, 0.37, order)
     below = curve_lift(spec, 0.37, order - 1)
-    assert np.array_equal(project(lifted).coords, below.coords)
+    assert np.array_equal(lifted[: lifted.shape[-1] // 2], below)
+    # over a psi array: row i is the scalar lift at psi[i], bit for bit, and
+    # the row-wise half is the lift one order down
+    rows = curve_lift(spec, PSI_ROWS, order)
+    for i, psi in enumerate(PSI_ROWS):
+        assert np.array_equal(rows[i], curve_lift(spec, psi, order))
+    assert np.array_equal(rows[:, : rows.shape[-1] // 2], curve_lift(spec, PSI_ROWS, order - 1))
 
 
 def test_trivialize_example():
     # the order-1 lift is the chart pair (point, velocity) flattened: at
     # psi = 0 the (1,1) curve sits at (0, 1) and moves along (1, 0)
     e = curve_lift(CurveSpec(Signature(1, 1), 1.0), 0.0, 1)
-    assert np.array_equal(e.coords, [0.0, 1.0, 1.0, 0.0])
+    assert np.array_equal(e, [0.0, 1.0, 1.0, 0.0])
 
 
 def test_trivialize_length_matches_bundle_dim():
@@ -85,14 +74,14 @@ def test_trivialize_length_matches_bundle_dim():
         spec = CurveSpec(sig, 1.0)
         flat = np.concatenate((point_at(0.4, spec), velocity_at(0.4, spec)))
         assert flat.shape == (bundle_dim(sig.n, 1),)
-        assert np.array_equal(curve_lift(spec, 0.4, 1).coords, flat)
+        assert np.array_equal(curve_lift(spec, 0.4, 1), flat)
 
 
 def test_curve_lift_order0_is_point():
     for sig in SMALL_SIGS:
         spec = CurveSpec(sig, 1.3)
         for psi in (-0.9, 0.0, 0.55):
-            assert np.array_equal(curve_lift(spec, psi, 0).coords, point_at(psi, spec))
+            assert np.array_equal(curve_lift(spec, psi, 0), point_at(psi, spec))
 
 
 def test_curve_lift_order1_base_case():
@@ -100,13 +89,13 @@ def test_curve_lift_order1_base_case():
     for psi in (-1.1, 0.3, 0.9):
         e = curve_lift(spec, psi, 1)
         want = [math.sinh(psi), math.cosh(psi), math.cosh(psi), math.sinh(psi)]
-        assert np.array_equal(e.coords, want)
+        assert np.array_equal(e, want)
 
 
 def test_curve_lift_order2_at_zero():
     # derivative tower becomes (p, p', p', p'') = (0,1, 1,0, 1,0, 0,1)
     e = curve_lift(CurveSpec(Signature(1, 1), 1.0), 0.0, 2)
-    assert np.array_equal(e.coords, [0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0])
+    assert np.array_equal(e, [0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0])
 
 
 def test_curve_lift_second_derivative_fd_crosscheck():
@@ -152,13 +141,17 @@ def test_lift_dims_match_bundle_dim():
     for sig in SMALL_SIGS:
         spec = CurveSpec(sig, 1.0)
         for p in range(7):
-            assert curve_lift(spec, 0.2, p).coords.shape == (bundle_dim(sig.n, p),)
+            assert curve_lift(spec, 0.2, p).shape == (bundle_dim(sig.n, p),)
+            rows = curve_lift(spec, PSI_ROWS, p)
+            assert rows.shape == (len(PSI_ROWS), bundle_dim(sig.n, p))
+            for i, psi in enumerate(PSI_ROWS):
+                assert np.array_equal(rows[i], curve_lift(spec, psi, p))
 
 
 def test_lift_order_cap():
     spec = CurveSpec(Signature(1, 1), 1.0)
     e = curve_lift(spec, 0.0, MAX_LIFT_ORDER)
-    assert MAX_LIFT_ORDER == 6 and e.coords.shape == (bundle_dim(2, 6),)
+    assert MAX_LIFT_ORDER == 6 and e.shape == (bundle_dim(2, 6),)
     with pytest.raises(ValueError, match="above cap 6"):
         curve_lift(spec, 0.0, 7)
     with pytest.raises(ValueError):
@@ -166,8 +159,6 @@ def test_lift_order_cap():
 
 
 def test_bundle_element_validation():
-    with pytest.raises(ValueError):
-        BundleElement(Signature(1, 1), 1, [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         curve_derivative(CurveSpec(Signature(1, 1), 1.0), 0.0, -2)
     with pytest.raises(OverflowError, match="710"):

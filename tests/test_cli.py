@@ -404,6 +404,25 @@ def test_verify_admits_its_largest_radius(capsys):
     assert "verification: 1/1 cells passed" in capsys.readouterr().out
 
 
+def test_verify_rejects_unresolved_steps(capsys):
+    # h*sqrt(s*r) = 86: integrating it anyway grows the decaying mode until
+    # the flow checks fail by up to 1e73 (exit 3), which hides the cause
+    assert main(["verify", "--max-sig", "1", "--psi-end", "170", "--steps", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "h*sqrt(s*r) = 86" in err
+
+
+@pytest.mark.parametrize("command", [["generate", "--sig", "1,1", "--out", "traj.csv"],
+                                     ["verify", "--max-sig", "1"]])
+def test_unallocatable_steps_is_config_error(tmp_path, monkeypatch, capsys, command):
+    # numpy refuses the 7.11 PiB grid at once, so nothing is allocated
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "--steps", "1000000000000000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "allocate" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_fault_injection_fails(capsys):
     code = main([
         "verify", "--max-sig", "2", "--samples", "30", "--steps", "1200",
@@ -435,5 +454,6 @@ def test_benchmark_tracer_sees_every_traced_layer(tmp_path):
         assert cli.main(["verify", "--max-sig", "1"]) == 0
     spans = tracer.aggregate(0, len(tracer))
     for name in ("cli.write_csv", "cli.write_json", "ode.integrate",
-                 "ode.closed_form_trajectory", "verify.run_cell_checks"):
+                 "ode.closed_form_trajectory", "verify.run_cell_checks",
+                 "bundle.curve_lift", "bundle.curve_derivative"):
         assert spans[name]["calls"] >= 1, name

@@ -1,5 +1,8 @@
 """Tests for the verification sweep, including its fault sensitivity."""
 
+import math
+import warnings
+
 import pytest
 
 from pseudohyp import Signature
@@ -55,3 +58,18 @@ def test_boost_translation_bound_scales_with_radius():
     shift = next(c for c in rep.checks if c.name == "boost_translation")
     assert shift.passed and shift.bound == 1e-10 * 1e5
     assert rep.passed
+
+
+def test_radius_cap_bounds_the_integrated_flow():
+    # RK4 rounding seeds the flow's growing mode at about u*|y0| per step, and
+    # e^(sqrt(2)*35) lifts it past the curve's own size: the curve term alone
+    # admitted 2.65e133 here, where inner_product overflowed into nan checks
+    sig, w = Signature(2, 1), math.sqrt(2.0)
+    largest = math.exp(math.log(1e152 / (w * 2000 * 2.0**-53)) - w * 65.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = run_cell_checks(sig, largest, -30.0, 5.0)
+    assert all(math.isfinite(c.worst) for c in rep.checks)
+    for radius in (largest * 1.001, 2.65e133):
+        with pytest.raises(ValueError, match="integrated flow's rounding"):
+            run_cell_checks(sig, radius, -30.0, 5.0)
