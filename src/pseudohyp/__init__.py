@@ -9,7 +9,8 @@ are (n, n) arrays. It provides:
 - the row-wise signature inner product and the closed-form curve with all
   its derivatives, scalar or over psi arrays (`geometry`)
 - the coupled linear flow the curve solves, integrated with a fixed-step
-  fourth-order scheme and cross-checked against the closed form (`ode`)
+  fourth-order scheme, one flow or a batch of them at once, and
+  cross-checked against the closed form (`ode`)
 - tangent-bundle dimension accounting and derivative-tower lifts, plain
   arrays of 2^p * n coordinates per psi (`bundle`)
 - product-preserving linear maps built from boosts and rotations (`transform`)
@@ -32,6 +33,7 @@ from .ode import (
     closed_form_trajectory,
     convergence_order,
     integrate,
+    integrate_batch,
     max_deviation,
     second_order_residual,
     system_rhs,
@@ -65,6 +67,7 @@ __all__ = [
     "curve_lift",
     "inner_product",
     "integrate",
+    "integrate_batch",
     "isometry_defect",
     "max_deviation",
     "point_at",

@@ -13,6 +13,7 @@ able to reject a wrong implementation.
 
 from __future__ import annotations
 
+import inspect
 import math
 import sys
 from dataclasses import dataclass
@@ -22,8 +23,8 @@ import numpy as np
 from .bundle import bundle_dim, curve_lift
 from .geometry import (DEFAULT_TOL, CurveSpec, Signature, curve_derivative, inner_product,
                        point_at, velocity_at)
-from .ode import (IntegratorConfig, check_resolved, closed_form_trajectory, convergence_order,
-                  integrate, max_deviation)
+from .ode import (IntegratorConfig, check_resolved, check_span, closed_form_trajectory,
+                  convergence_order, integrate_batch, max_deviation)
 from .transform import apply, boost, isometry_defect, random_isometry
 
 __all__ = ["DEFAULT_SEED", "Check", "CellReport", "run_cell_checks", "run_sweep"]
@@ -35,6 +36,10 @@ _LIFT_PSI = np.array([-0.8, 0.3, 0.9])
 _CONVERGENCE_STEPS = (60, 120, 240)
 _TRANSFORM_TRIALS = 24
 _PEAK_MAX = 1e152
+# the sweep integrates its cells in groups of at most this many flow samples
+# (cells times grid points), at about 300 bytes each: memory stays bounded
+# however long --steps is, and up to 131 cells of 2000 steps make one group
+_BATCH_SAMPLES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -88,6 +93,72 @@ def _max_abs(arr: np.ndarray) -> float:
     return float(np.max(np.abs(arr)))
 
 
+def _cell_spec(sig, radius, psi_start, psi_end, samples, steps, tol, fault_r_eff) -> CurveSpec:
+    """Validate one cell's parameters; return the spec its curve is evaluated with.
+
+    Raises ValueError for a cell the battery cannot serve, naming the limit.
+    """
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    if samples < 2:
+        raise ValueError(f"need at least 2 psi samples, got {samples}")
+    spec = CurveSpec(sig, radius)  # rejects a bad radius before any use of it
+    if not sys.float_info.min <= radius * radius < math.inf:
+        raise ValueError(
+            "radius must lie in about [1.5e-154, 1.3e154], so that its square is a "
+            f"normal float, got {radius:g}"
+        )
+    # inner products sum squared coordinates: on the grid their partial sums
+    # reach 2*s*r*(R*cosh(w*psi))^2, and the isometry images at |psi| <= 1 up
+    # to e^6 times that (five boosts of rapidity <= 0.6); with
+    # sqrt(s*r)*R*e^(w*psi) <= _PEAK_MAX both stay below 2*e^6*1e304 < 1.8e308
+    w = spec.frequency
+    psi_reach = max(abs(psi_start), abs(psi_end), 1.0)
+    radius_max = math.exp(math.log(_PEAK_MAX / w) - w * psi_reach)
+    # RK4 rounding seeds the flow's growing mode at up to steps*u*|y0|, and the
+    # mode multiplies it by e^(w*span); bounding sqrt(s*r)*R*steps*u*e^(w*(|psi_start|
+    # + span)) by _PEAK_MAX keeps the products along the integrated flow finite too
+    steps_max = max(steps, *_CONVERGENCE_STEPS)
+    flow_max = math.exp(math.log(_PEAK_MAX / (w * steps_max * 2.0**-53))
+                        - w * (abs(psi_start) + abs(psi_end - psi_start)))
+    flow_error = ValueError(
+        f"sqrt(s*r) * R * steps * 2^-53 * exp(sqrt(s*r) * (|psi_start| + span)) must stay "
+        f"below {_PEAK_MAX:g}, so that the integrated flow's rounding stays finite; for "
+        f"(s, r) = ({sig.s}, {sig.r}), psi in [{psi_start:g}, {psi_end:g}] and {steps_max} "
+        f"steps that caps the radius at {flow_max:.6g}, got {radius:g}"
+    )
+    if radius > radius_max:
+        # above both caps, the smaller one is the one that binds
+        if flow_max < radius_max:
+            raise flow_error
+        raise ValueError(
+            f"sqrt(s*r) * R * exp(sqrt(s*r) * max(|psi|, 1)) must stay below {_PEAK_MAX:g}, "
+            f"so that the inner products stay finite; for (s, r) = ({sig.s}, {sig.r}) and "
+            f"|psi| up to {psi_reach:g} that caps the radius at {radius_max:.6g}, got {radius:g}"
+        )
+    # the bound above assumes every step count the cell integrates is resolved
+    check_resolved(IntegratorConfig(psi_start, psi_end, steps, spec))
+    for k in _CONVERGENCE_STEPS:
+        check_resolved(IntegratorConfig(psi_start, psi_end, k, spec),
+                       f"the convergence fit's {k}-step run does not change with --steps, "
+                       "so the psi range must narrow")
+    if radius > flow_max:
+        raise flow_error
+    check_span(psi_start, psi_end)
+    return CurveSpec(sig, radius * math.sqrt(sig.r)) if fault_r_eff else spec
+
+
+def _integrate_cells(specs, psi_start, psi_end, steps) -> list:
+    """Per cell, its flows from point_at(psi_start) at `steps` and at each of
+    `_CONVERGENCE_STEPS`, integrated in one `integrate_batch` loop per step count.
+    """
+    initials = [point_at(psi_start, spec) for spec in specs]
+    runs = [integrate_batch([IntegratorConfig(psi_start, psi_end, k, spec) for spec in specs],
+                            initials)
+            for k in (steps, *_CONVERGENCE_STEPS)]
+    return list(zip(*runs))
+
+
 def run_cell_checks(
     sig: Signature,
     radius: float,
@@ -98,51 +169,20 @@ def run_cell_checks(
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
     fault_r_eff: bool = False,
+    *,
+    flows=None,
 ) -> CellReport:
-    """Run the full battery for one cell and report worst residuals."""
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    if samples < 2:
-        raise ValueError(f"need at least 2 psi samples, got {samples}")
-    spec = CurveSpec(sig, radius)  # rejects a bad radius before it seeds the generator
+    """Run the full battery for one cell and report worst residuals.
+
+    `flows` holds the cell's integrated trajectories as `run_sweep` batches
+    them; left out, the cell integrates its own.
+    """
+    spec = _cell_spec(sig, radius, psi_start, psi_end, samples, steps, tol, fault_r_eff)
+    if flows is None:
+        flows = _integrate_cells([spec], psi_start, psi_end, steps)[0]
     r2 = radius * radius
-    if not sys.float_info.min <= r2 < math.inf:
-        raise ValueError(
-            "radius must lie in about [1.5e-154, 1.3e154], so that its square is a "
-            f"normal float, got {radius:g}"
-        )
     rng = np.random.default_rng([seed, sig.s, sig.r, int(round(radius * 1e6))])
-    # inner products sum squared coordinates: on the grid their partial sums
-    # reach 2*s*r*(R*cosh(w*psi))^2, and the isometry images at |psi| <= 1 up
-    # to e^6 times that (five boosts of rapidity <= 0.6); with
-    # sqrt(s*r)*R*e^(w*psi) <= _PEAK_MAX both stay below 2*e^6*1e304 < 1.8e308
     w = spec.frequency
-    psi_reach = max(abs(psi_start), abs(psi_end), 1.0)
-    radius_max = math.exp(math.log(_PEAK_MAX / w) - w * psi_reach)
-    if radius > radius_max:
-        raise ValueError(
-            f"sqrt(s*r) * R * exp(sqrt(s*r) * max(|psi|, 1)) must stay below {_PEAK_MAX:g}, "
-            f"so that the inner products stay finite; for (s, r) = ({sig.s}, {sig.r}) and "
-            f"|psi| up to {psi_reach:g} that caps the radius at {radius_max:.6g}, got {radius:g}"
-        )
-    # the bound below assumes every step count the cell integrates is resolved
-    for k in (steps, *_CONVERGENCE_STEPS):
-        check_resolved(IntegratorConfig(psi_start, psi_end, k, spec))
-    # RK4 rounding seeds the flow's growing mode at up to steps*u*|y0|, and the
-    # mode multiplies it by e^(w*span); bounding sqrt(s*r)*R*steps*u*e^(w*(|psi_start|
-    # + span)) by _PEAK_MAX keeps the products along the integrated flow finite too
-    steps_max = max(steps, *_CONVERGENCE_STEPS)
-    flow_max = math.exp(math.log(_PEAK_MAX / (w * steps_max * 2.0**-53))
-                        - w * (abs(psi_start) + abs(psi_end - psi_start)))
-    if radius > flow_max:
-        raise ValueError(
-            f"sqrt(s*r) * R * steps * 2^-53 * exp(sqrt(s*r) * (|psi_start| + span)) must stay "
-            f"below {_PEAK_MAX:g}, so that the integrated flow's rounding stays finite; for "
-            f"(s, r) = ({sig.s}, {sig.r}), psi in [{psi_start:g}, {psi_end:g}] and {steps_max} "
-            f"steps that caps the radius at {flow_max:.6g}, got {radius:g}"
-        )
-    if fault_r_eff:
-        spec = CurveSpec(sig, radius * math.sqrt(sig.r))
     s, r, n = sig.s, sig.r, sig.n
     checks = []
 
@@ -166,9 +206,8 @@ def run_cell_checks(
     checks.append(Check("velocity_fd", worst_fd, 1e-8 * max(1.0, r * spec.r_eff)))
 
     # integrated flow against the closed form, plus conservation along it
-    cfg = IntegratorConfig(psi_start, psi_end, steps, spec)
-    num = integrate(cfg, point_at(psi_start, spec))
-    ref = closed_form_trajectory(cfg)
+    num, *fits = flows
+    ref = closed_form_trajectory(IntegratorConfig(psi_start, psi_end, steps, spec))
     psi_max = max(abs(psi_start), abs(psi_end))
     dev_bound = 1e-7 * (1.0 + r * spec.r_eff * math.cosh(psi_max * w))
     checks.append(Check("flow_deviation", max_deviation(num, ref), dev_bound))
@@ -183,7 +222,7 @@ def run_cell_checks(
             0.0,
         )
     )
-    slope = convergence_order(spec, psi_start, psi_end, _CONVERGENCE_STEPS)
+    slope = convergence_order(fits)
     checks.append(Check("convergence_order", abs(slope - 4.0), 0.3))
 
     # bundle bookkeeping on the lift tower, one whole-array lift per order
@@ -243,17 +282,37 @@ def run_cell_checks(
     return CellReport(sig, radius, tuple(checks))
 
 
+# the cell parameters that have a default, read once from run_cell_checks itself
+_CELL_DEFAULTS = {k: v.default for k, v in inspect.signature(run_cell_checks).parameters.items()
+                  if v.kind is v.POSITIONAL_OR_KEYWORD and v.default is not v.empty}
+
+
 def run_sweep(max_sig: int = 4, radii=(1.0,), **cell):
     """Run the battery over s, r in 1..max_sig and every radius.
 
     `cell` holds keyword arguments of `run_cell_checks`, passed to every
     cell. Returns one CellReport per (s, r, radius), ordered by (s, r, radius).
+    Every cell is validated before any is integrated, and the cells' flows
+    are integrated together, one RK4 loop per step count for up to
+    `_BATCH_SAMPLES` samples of all cells.
     """
     if max_sig < 1:
         raise ValueError(f"max_sig must be at least 1, got {max_sig}")
-    return [
-        run_cell_checks(Signature(s, r), float(radius), **cell)
-        for s in range(1, max_sig + 1)
-        for r in range(1, max_sig + 1)
-        for radius in radii
-    ]
+    cells = [(Signature(s, r), float(radius))
+             for s in range(1, max_sig + 1)
+             for r in range(1, max_sig + 1)
+             for radius in radii]
+    unknown = sorted(cell.keys() - _CELL_DEFAULTS.keys())
+    if unknown:
+        raise TypeError(f"run_cell_checks() got unexpected keyword arguments {unknown}")
+    p = {**_CELL_DEFAULTS, **cell}
+    specs = [_cell_spec(sig, radius, p["psi_start"], p["psi_end"], p["samples"], p["steps"],
+                        p["tol"], p["fault_r_eff"])
+             for sig, radius in cells]
+    group = max(1, _BATCH_SAMPLES // (p["steps"] + 1))
+    reports = []
+    for i in range(0, len(cells), group):
+        flows = _integrate_cells(specs[i : i + group], p["psi_start"], p["psi_end"], p["steps"])
+        reports += [run_cell_checks(sig, radius, **cell, flows=f)
+                    for (sig, radius), f in zip(cells[i : i + group], flows)]
+    return reports

@@ -21,6 +21,7 @@ from pseudohyp import (
     curve_lift,
     inner_product,
     integrate,
+    integrate_batch,
     max_deviation,
     point_at,
     random_isometry,
@@ -112,16 +113,21 @@ def test_criterion_3_velocity_norm():
 
 def test_criterion_4_ode_oracle_equivalence():
     t0 = time.perf_counter()
+    # every flow at one step count is one batch: the 48 deviation runs, then
+    # the 16 slope fits' runs at each of their three counts
+    cfgs = [IntegratorConfig(0.0, 1.5, 2000, CurveSpec(sig, radius))
+            for sig in FULL_GRID for radius in RADII]
     worst_ratio = 0.0
-    slopes = []
-    for sig in FULL_GRID:
-        for radius in RADII:
-            spec = CurveSpec(sig, radius)
-            cfg = IntegratorConfig(0.0, 1.5, 2000, spec)
-            dev = max_deviation(integrate(cfg, point_at(0.0, spec)), closed_form_trajectory(cfg))
-            bound = 1e-7 * (1.0 + sig.r * spec.r_eff * math.cosh(1.5 * spec.frequency))
-            worst_ratio = max(worst_ratio, dev / bound)
-        slopes.append(convergence_order(CurveSpec(sig, 1.0), 0.0, 1.5, (60, 120, 240)))
+    for cfg, traj in zip(cfgs, integrate_batch(cfgs, [point_at(0.0, c.spec) for c in cfgs])):
+        spec = cfg.spec
+        dev = max_deviation(traj, closed_form_trajectory(cfg))
+        bound = 1e-7 * (1.0 + spec.sig.r * spec.r_eff * math.cosh(1.5 * spec.frequency))
+        worst_ratio = max(worst_ratio, dev / bound)
+    specs = [CurveSpec(sig, 1.0) for sig in FULL_GRID]
+    fits = [integrate_batch([IntegratorConfig(0.0, 1.5, k, spec) for spec in specs],
+                            [point_at(0.0, spec) for spec in specs])
+            for k in (60, 120, 240)]
+    slopes = [convergence_order(runs) for runs in zip(*fits)]
     elapsed = time.perf_counter() - t0
     slope_ok = all(abs(sl - 4.0) <= 0.3 for sl in slopes)
     ok = worst_ratio <= 1.0 and slope_ok and elapsed < 30.0

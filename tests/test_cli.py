@@ -412,6 +412,32 @@ def test_verify_rejects_unresolved_steps(capsys):
     assert err.startswith("error: ") and "h*sqrt(s*r) = 86" in err
 
 
+def test_verify_rejects_unresolved_convergence_fit(capsys):
+    # --steps 20000 resolves the main flow, but the slope fit's 60 steps over
+    # [-2, 170] give h*sqrt(s*r) = 2.87, which no --steps changes
+    assert main(["verify", "--max-sig", "1", "--psi-end", "170", "--steps", "20000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "h*sqrt(s*r) = 2.86667" in err
+    assert "convergence fit's 60-step run" in err and "the psi range must narrow" in err
+    assert "use more --steps" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    # cell (1,1) is served up to the zero-length interval, which is rejected
+    # before cell (1,2) exceeds its radius cap
+    (["--psi-start", "5", "--psi-end", "5", "--radius", "1e149"],
+     "a slope fit needs a step size above zero, got psi_start == psi_end == 5"),
+    (["--radius", "1e150"],
+     "sqrt(s*r) * R * exp(sqrt(s*r) * max(|psi|, 1)) must stay below 1e+152, so that the inner "
+     "products stay finite; for (s, r) = (2, 2) and |psi| up to 2 that caps the radius at "
+     "9.15782e+149, got 1e+150"),
+], ids=["zero-length", "radius-cap"])
+def test_verify_reports_the_first_cell_error(capsys, argv, message):
+    assert main(["verify", "--max-sig", "2", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", [["generate", "--sig", "1,1", "--out", "traj.csv"],
                                      ["verify", "--max-sig", "1"]])
 def test_unallocatable_steps_is_config_error(tmp_path, monkeypatch, capsys, command):
@@ -451,9 +477,14 @@ def test_benchmark_tracer_sees_every_traced_layer(tmp_path):
         for fmt, mode in (("csv", "integrated"), ("json", "closed_form")):
             assert cli.main(["generate", "--sig", "1,2", "--steps", "8", "--mode", mode,
                              "--format", fmt, "--out", str(tmp_path / f"t.{fmt}")]) == 0
-        assert cli.main(["verify", "--max-sig", "1"]) == 0
+        generated = len(tracer)
+        assert cli.main(["verify", "--max-sig", "2"]) == 0
     spans = tracer.aggregate(0, len(tracer))
     for name in ("cli.write_csv", "cli.write_json", "ode.integrate",
                  "ode.closed_form_trajectory", "verify.run_cell_checks",
                  "bundle.curve_lift", "bundle.curve_derivative"):
         assert spans[name]["calls"] >= 1, name
+    # the sweep still checks cell by cell, and fits each cell's convergence order
+    swept = tracer.aggregate(generated, len(tracer))
+    assert swept["verify.run_cell_checks"]["calls"] == 4
+    assert swept["ode.convergence_order"]["calls"] == 4

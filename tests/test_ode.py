@@ -15,6 +15,7 @@ from pseudohyp import (
     convergence_order,
     inner_product,
     integrate,
+    integrate_batch,
     max_deviation,
     point_at,
     second_order_residual,
@@ -229,16 +230,133 @@ def test_flow_uniformity_bitwise():
         assert np.all(arr[:, s:] == arr[:, s : s + 1])
 
 
+def runs(spec, psi_start, psi_end, step_counts):
+    # the integrated runs a slope fit takes, one per step count
+    return [integrate(IntegratorConfig(psi_start, psi_end, k, spec), point_at(psi_start, spec))
+            for k in step_counts]
+
+
 def test_convergence_order_estimate():
-    slope = convergence_order(CurveSpec(Signature(2, 2), 1.0), 0.0, 1.5, (60, 120, 240))
+    slope = convergence_order(runs(CurveSpec(Signature(2, 2), 1.0), 0.0, 1.5, (60, 120, 240)))
     assert 3.7 <= slope <= 4.3
 
 
 def test_convergence_order_needs_three_counts():
     with pytest.raises(ValueError):
-        convergence_order(spec11(), 0.0, 1.0, (100, 200))
+        convergence_order(runs(spec11(), 0.0, 1.0, (100, 200)))
     with pytest.raises(ValueError, match="psi_start == psi_end"):
-        convergence_order(spec11(), 5.0, 5.0, (60, 120, 240))
+        convergence_order(runs(spec11(), 5.0, 5.0, (60, 120, 240)))
+
+
+def reference_rhs(y, sig):
+    # the right-hand side as it was: numpy's own sum of each block
+    s = sig.s
+    out = np.empty_like(y)
+    out[:s] = y[s:].sum()
+    out[s:] = y[:s].sum()
+    return out
+
+
+def reference_integrate(cfg, initial):
+    # the one-point RK4 loop as it was before the batched loop replaced it
+    sig = cfg.spec.sig
+    grid = cfg.grid()
+    h = cfg.step
+    points = np.empty((grid.shape[0], sig.n))
+    velocities = np.empty_like(points)
+    points[0] = initial
+    velocities[0] = reference_rhs(points[0], sig)
+    for k in range(grid.shape[0] - 1):
+        y, k1 = points[k], velocities[k]
+        k2 = reference_rhs(y + 0.5 * h * k1, sig)
+        k3 = reference_rhs(y + 0.5 * h * k2, sig)
+        k4 = reference_rhs(y + h * k3, sig)
+        points[k + 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        velocities[k + 1] = reference_rhs(points[k + 1], sig)
+    return points, velocities
+
+
+def starts(spec, psi_start, rng):
+    # the curve's own (uniform) start, one with uniform blocks of other
+    # values, a random one, and the start at psi = -0.0 whose time-like block
+    # is -0.0, which numpy's sum turns into +0.0
+    sig = spec.sig
+    yield point_at(psi_start, spec)
+    yield np.repeat(rng.uniform(-2.0, 2.0, 2), (sig.s, sig.r))
+    yield rng.uniform(-2.0, 2.0, sig.n)
+    yield point_at(-0.0, spec)
+
+
+def bits(traj):
+    return traj.psi.tobytes(), traj.points.tobytes(), traj.velocities.tobytes()
+
+
+@pytest.mark.parametrize("s", range(1, 8))
+def test_integrate_matches_the_reference_loop(s):
+    # below 8 entries numpy sums a block left to right from 0.0, the order
+    # the batched loop uses at every length, so the two agree bit for bit
+    rng = np.random.default_rng(s)
+    for r in range(1, 8):
+        spec = CurveSpec(Signature(s, r), 1.3)
+        for psi_start, psi_end in ((-1.0, 0.8), (0.8, -1.0)):
+            cfg = IntegratorConfig(psi_start, psi_end, 24, spec)
+            for y0 in starts(spec, psi_start, rng):
+                traj = integrate(cfg, y0)
+                points, velocities = reference_integrate(cfg, y0)
+                assert bits(traj)[1:] == (points.tobytes(), velocities.tobytes()), (s, r)
+                assert np.array_equal(traj.psi, cfg.grid())
+
+
+BATCH_SIGS = [Signature(s, r) for s in range(1, 5) for r in range(1, 5)] + [Signature(2, 9)]
+
+
+@pytest.mark.parametrize("psi_start, psi_end", [(-1.2, 0.9), (0.9, -1.2)],
+                         ids=["forward", "reversed"])
+def test_integrate_batch_rows_match_integrate(psi_start, psi_end):
+    rng = np.random.default_rng(7)
+    cfgs, initials = [], []
+    for sig in BATCH_SIGS:
+        for radius in (0.5, 2.5):
+            spec = CurveSpec(sig, radius)
+            for y0 in starts(spec, psi_start, rng):
+                cfgs.append(IntegratorConfig(psi_start, psi_end, 60, spec))
+                initials.append(y0)
+    # padded rows, and rows that all share one signature and need no padding
+    for rows in (range(len(cfgs)), [i for i, c in enumerate(cfgs) if c.spec.sig == Signature(2, 9)]):
+        batch = integrate_batch([cfgs[i] for i in rows], [initials[i] for i in rows])
+        assert len(batch) == len(rows)
+        for i, traj in zip(rows, batch):
+            assert traj.spec is cfgs[i].spec
+            assert bits(traj) == bits(integrate(cfgs[i], initials[i])), cfgs[i].spec
+
+
+def test_integrate_batch_validation():
+    cfg = IntegratorConfig(0.0, 1.0, 10, spec11())
+    y0 = point_at(0.0, spec11())
+    for other in (IntegratorConfig(0.0, 1.0, 11, spec11()),
+                  IntegratorConfig(0.0, 2.0, 10, spec11())):
+        with pytest.raises(ValueError, match="share"):
+            integrate_batch([cfg, other], [y0, y0])
+    with pytest.raises(ValueError, match="one initial point per config"):
+        integrate_batch([cfg, cfg], [y0])
+    with pytest.raises(ValueError, match="one initial point per config"):
+        integrate_batch([], [])
+    with pytest.raises(ValueError, match="signature"):
+        integrate_batch([cfg, cfg], [y0, np.zeros(3)])
+
+
+def test_block_sums_run_left_to_right_at_every_length():
+    # numpy's sum turns pairwise at 8 entries; the flow sums every block
+    # left to right from 0.0, so a block's sum does not depend on its length
+    rng = np.random.default_rng(3)
+    for s in range(1, 13):
+        for _ in range(20):
+            y = rng.standard_normal(s + 2) * 10.0 ** rng.integers(-8, 9, s + 2)
+            out = system_rhs(y, Signature(s, 2))
+            want = 0.0
+            for v in y[:s].tolist():
+                want += v
+            assert out[s:].tobytes() == np.full(2, want).tobytes()
 
 
 def test_trajectory_monotonicity_validation():

@@ -6,6 +6,7 @@ import warnings
 import pytest
 
 from pseudohyp import Signature
+from pseudohyp import verify
 from pseudohyp.verify import run_cell_checks, run_sweep
 
 
@@ -73,3 +74,54 @@ def test_radius_cap_bounds_the_integrated_flow():
     for radius in (largest * 1.001, 2.65e133):
         with pytest.raises(ValueError, match="integrated flow's rounding"):
             run_cell_checks(sig, radius, -30.0, 5.0)
+
+
+@pytest.mark.parametrize("fault", [False, True], ids=["plain", "fault"])
+def test_sweep_equals_one_cell_at_a_time(fault):
+    # the batched flows give every check, worst and bound included, exactly
+    # as a cell that integrates its own
+    radii = (1.0, 2.5)
+    reports = run_sweep(max_sig=3, radii=radii, fault_r_eff=fault)
+    singles = [run_cell_checks(Signature(s, r), radius, fault_r_eff=fault)
+               for s in range(1, 4) for r in range(1, 4) for radius in radii]
+    assert reports == singles
+
+
+def test_sweep_groups_cells_when_steps_are_long(monkeypatch):
+    calls = []
+    batch = verify.integrate_batch
+
+    def counted(cfgs, initials):
+        calls.append(len(cfgs))
+        return batch(cfgs, initials)
+
+    monkeypatch.setattr(verify, "integrate_batch", counted)
+    whole = run_sweep(max_sig=2, samples=30, steps=400)
+    assert calls == [4] * 4  # one loop per step count for all four cells
+    monkeypatch.setattr(verify, "_BATCH_SAMPLES", 1000)
+    calls.clear()
+    assert run_sweep(max_sig=2, samples=30, steps=400) == whole
+    assert calls == [2] * 8  # 1000 samples hold two cells of 401
+
+
+def test_sweep_validates_every_cell_before_integrating(monkeypatch):
+    def unreachable(cfgs, initials):
+        raise AssertionError("integrated before every cell was validated")
+
+    monkeypatch.setattr(verify, "integrate_batch", unreachable)
+    # (1,1) and (1,2) are served, and (2,2) is the first cell whose cap 1e150 exceeds
+    with pytest.raises(ValueError, match=r"\(s, r\) = \(2, 2\)"):
+        run_sweep(max_sig=2, radii=(1e150,))
+    with pytest.raises(TypeError, match="stepz"):
+        run_sweep(max_sig=1, stepz=10)
+
+
+def test_radius_cap_names_the_cap_that_binds():
+    # over [-30, 5] the flow term caps (1,1) at 2.66e136 and the curve term at
+    # 9.36e138; a radius above both is told the smaller cap
+    for radius in (1e139, 1e137):
+        with pytest.raises(ValueError, match=r"integrated flow's rounding.*at 2\.65716e\+136"):
+            run_cell_checks(Signature(1, 1), radius, -30.0, 5.0)
+    # at the default range the curve term is the smaller one
+    with pytest.raises(ValueError, match=r"inner products stay finite.*at 1\.35335e\+151"):
+        run_cell_checks(Signature(1, 1), 1.3e154)
