@@ -28,15 +28,12 @@ from .geometry import (
 )
 from .ode import (
     IntegratorConfig,
-    Provenance,
-    Trajectory,
     closed_form_trajectory,
     convergence_order,
     integrate,
     integrate_batch,
     max_deviation,
     second_order_residual,
-    system_rhs,
 )
 from .bundle import MAX_LIFT_ORDER, bundle_dim, curve_lift
 from .transform import (
@@ -54,9 +51,7 @@ __all__ = [
     "MAX_LIFT_ORDER",
     "CurveSpec",
     "IntegratorConfig",
-    "Provenance",
     "Signature",
-    "Trajectory",
     "apply",
     "block_rotation",
     "boost",
@@ -73,6 +68,5 @@ __all__ = [
     "point_at",
     "random_isometry",
     "second_order_residual",
-    "system_rhs",
     "velocity_at",
 ]

@@ -17,13 +17,12 @@ import numpy as np
 
 from .bundle import bundle_dim
 from .geometry import CurveSpec, Signature, inner_product, point_at
-from .ode import (IntegratorConfig, Provenance, Trajectory, check_resolved, closed_form_trajectory,
-                  integrate)
+from .ode import IntegratorConfig, check_resolved, closed_form_trajectory, integrate
 from .verify import run_sweep
 
 __all__ = ["cmd_generate", "cmd_verify", "cmd_dims", "main"]
 
-# Trajectory numbers are written with 17 significant decimal digits, enough
+# Table values are written with 17 significant decimal digits, enough
 # for any binary64 value to survive a write/parse round trip bit-exactly.
 _FLOAT_FMT = "%.17g"
 
@@ -67,17 +66,19 @@ def _columns(sig: Signature):
     return cols
 
 
-def _sample_values(traj: Trajectory) -> np.ndarray:
-    """The output table, one row per sample in the column order of `_columns`.
+def _sample_values(cfg: IntegratorConfig, flow: np.ndarray) -> np.ndarray:
+    """The output table of a flow on cfg.grid(), one row per sample in the
+    column order of `_columns`.
 
     Raises ValueError when a value is not finite, which happens once the
     curve overflows the float range.
     """
-    p = traj.points
+    sig, radius = cfg.spec.sig, cfg.spec.radius
+    p = flow[:, : sig.n]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        form = inner_product(p, p, traj.spec.sig) - traj.spec.radius * traj.spec.radius
-        ortho = inner_product(p, traj.velocities, traj.spec.sig)
-    table = np.column_stack((traj.psi, p, traj.velocities, form, ortho))
+        form = inner_product(p, p, sig) - radius * radius
+        ortho = inner_product(p, flow[:, sig.n :], sig)
+    table = np.column_stack((cfg.grid(), flow, form, ortho))
     if not np.isfinite(table).all():
         raise ValueError(
             "non-finite coordinates or residuals: the curve overflows once "
@@ -86,13 +87,13 @@ def _sample_values(traj: Trajectory) -> np.ndarray:
     return table
 
 
-def write_csv(traj: Trajectory, table: np.ndarray, stream) -> None:
-    """Write a trajectory's `_sample_values` table as CSV, one row per sample.
+def write_csv(spec: CurveSpec, table: np.ndarray, stream) -> None:
+    """Write a `_sample_values` table of the curve `spec` as CSV, one row per sample.
 
     The bytes are those of `csv.writer` with every value formatted by
     `_FLOAT_FMT`: no formatted number needs quoting, and lines end in CRLF.
     """
-    csv.writer(stream).writerow(_columns(traj.spec.sig))
+    csv.writer(stream).writerow(_columns(spec.sig))
     line = ",".join([_FLOAT_FMT] * table.shape[1]) + "\r\n"
     for i in range(0, len(table), _BLOCK_ROWS):
         stream.write("".join([line % tuple(row) for row in table[i : i + _BLOCK_ROWS].tolist()]))
@@ -108,19 +109,21 @@ def _json_sample(sig: Signature) -> str:
     return "\n    {\n" + ",\n".join(fields) + "\n    }"
 
 
-def write_json(traj: Trajectory, table: np.ndarray, stream) -> None:
-    """Write a trajectory's `_sample_values` table as JSON with named per-sample fields.
+def write_json(spec: CurveSpec, mode: str, table: np.ndarray, stream) -> None:
+    """Write a `_sample_values` table of the curve `spec` as JSON with named
+    per-sample fields.
 
     The bytes are those of `json.dump(doc, stream, indent=2)` followed by a
-    newline, where doc holds s, r, radius, mode and one dict per sample
+    newline, where doc holds s, r, radius, mode (the `--mode` the table was
+    made in) and one dict per sample
     (psi, t, x, dt, dx, form_residual, ortho_residual). Each float goes
     through `%r`: `json` writes a float as its repr, except for NaN and
     infinities, which `_sample_values` has already rejected. The table has
     at least one row, since every psi grid has a sample.
     """
-    sig = traj.spec.sig
+    sig = spec.sig
     stream.write('{\n  "s": %d,\n  "r": %d,\n  "radius": %r,\n  "mode": %s,\n  "samples": ['
-                 % (sig.s, sig.r, traj.spec.radius, json.dumps(traj.provenance.value)))
+                 % (sig.s, sig.r, spec.radius, json.dumps(mode)))
     sample = _json_sample(sig)
     for i in range(0, len(table), _BLOCK_ROWS):
         rows = table[i : i + _BLOCK_ROWS].tolist()
@@ -132,21 +135,30 @@ def cmd_generate(args) -> int:
     """Generate a trajectory per the parsed arguments and write it out."""
     spec = CurveSpec(args.sig, args.radius)
     cfg = IntegratorConfig(args.psi_start, args.psi_end, args.steps, spec)
-    if Provenance(args.mode) is Provenance.CLOSED_FORM:
-        traj = closed_form_trajectory(cfg)
+    if args.mode == "closed_form":
+        flow = closed_form_trajectory(cfg)
     else:
-        traj = integrate(cfg, point_at(args.psi_start, spec))
+        try:
+            check_resolved(cfg)
+        except ValueError as coarse:
+            # more steps cannot serve a psi range on which the curve itself overflows
+            try:
+                point_at(max(abs(args.psi_start), abs(args.psi_end)), spec)
+            except OverflowError as overflow:
+                raise ValueError(f"{coarse}; and {overflow}") from None
+            raise
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+            flow = integrate(cfg, point_at(args.psi_start, spec))
     # raises on non-finite values, so nothing is written before the file exists
-    table = _sample_values(traj)
-    if traj.provenance is Provenance.INTEGRATED:
-        check_resolved(cfg)
+    table = _sample_values(cfg, flow)
+    head = (spec,) if args.format == "csv" else (spec, args.mode)
     writer = write_csv if args.format == "csv" else write_json
     if args.out is None:
-        writer(traj, table, sys.stdout)
+        writer(*head, table, sys.stdout)
     elif os.path.exists(args.out) and not os.path.isfile(args.out):
         # a device or FIFO, such as /dev/stdout, cannot be renamed over
         with open(args.out, "w", newline="") as fh:
-            writer(traj, table, fh)
+            writer(*head, table, fh)
     else:
         # a file is written beside its target (through any symlink) and
         # renamed over it, so a failed write leaves no partial file
@@ -155,7 +167,7 @@ def cmd_generate(args) -> int:
         fh = open(tmp, "x", newline="")
         try:
             with fh:
-                writer(traj, table, fh)
+                writer(*head, table, fh)
             os.replace(tmp, target)
         except BaseException:
             os.remove(tmp)
@@ -208,8 +220,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--psi-start", type=float, default=-3.0)
     gen.add_argument("--psi-end", type=float, default=3.0)
     gen.add_argument("--steps", type=int, default=100, help="grid intervals")
-    gen.add_argument("--mode", choices=[p.value for p in Provenance],
-                     default=Provenance.CLOSED_FORM.value)
+    gen.add_argument("--mode", choices=["closed_form", "integrated"], default="closed_form")
     gen.add_argument("--format", choices=["csv", "json"], default="csv")
     gen.add_argument("--out", default=None, help="output path (default stdout)")
     gen.set_defaults(func=cmd_generate)

@@ -7,26 +7,24 @@ the time-like coordinates and every dt_i equals the sum of the space-like
 ones. Each block of the right-hand side is therefore a single broadcast
 scalar, which keeps integrated blocks bitwise uniform when they start uniform.
 The one RK4 loop steps a batch of flows with any signatures at once, and
-every flow in it comes out as it would alone.
+every flow in it comes out as it would alone. A flow, integrated or closed
+form, is a plain (steps + 1, 2n) array whose row k is [point | velocity] at
+cfg.grid()[k], the layout of an order-1 `curve_lift`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .geometry import CurveSpec, Signature, curve_derivative, is_integer
+from .geometry import CurveSpec, curve_derivative, is_integer
 
 __all__ = [
-    "Provenance",
     "IntegratorConfig",
     "check_resolved",
     "check_span",
-    "Trajectory",
-    "system_rhs",
     "integrate_batch",
     "integrate",
     "closed_form_trajectory",
@@ -34,11 +32,6 @@ __all__ = [
     "second_order_residual",
     "convergence_order",
 ]
-
-
-class Provenance(Enum):
-    CLOSED_FORM = "closed_form"
-    INTEGRATED = "integrated"
 
 
 @dataclass(frozen=True)
@@ -84,40 +77,6 @@ class IntegratorConfig:
         return g
 
 
-@dataclass(eq=False)
-class Trajectory:
-    """Ordered samples (psi, point, velocity) sharing one signature.
-
-    `points` and `velocities` are (m, n) arrays whose k-th rows belong to
-    psi[k]. The parameter values must be strictly monotone.
-    """
-
-    spec: CurveSpec
-    provenance: Provenance
-    psi: np.ndarray
-    points: np.ndarray
-    velocities: np.ndarray
-
-    def __post_init__(self):
-        self.psi = np.asarray(self.psi, dtype=float)
-        self.points = np.asarray(self.points, dtype=float)
-        self.velocities = np.asarray(self.velocities, dtype=float)
-        m = self.psi.shape[0]
-        n = self.spec.sig.n
-        if self.points.shape != (m, n) or self.velocities.shape != (m, n):
-            raise ValueError(
-                f"expected point/velocity arrays of shape ({m}, {n}), got "
-                f"{self.points.shape} and {self.velocities.shape}"
-            )
-        if m > 1:
-            d = np.diff(self.psi)
-            if not (np.all(d > 0) or np.all(d < 0)):
-                raise ValueError("psi values must be strictly monotone")
-
-    def __len__(self) -> int:
-        return self.psi.shape[0]
-
-
 def check_resolved(cfg: IntegratorConfig, remedy: str = "use more --steps") -> None:
     """Raise ValueError when the RK4 step is too coarse to resolve the curve.
 
@@ -134,20 +93,6 @@ def check_resolved(cfg: IntegratorConfig, remedy: str = "use more --steps") -> N
         )
 
 
-def system_rhs(y: np.ndarray, sig: Signature) -> np.ndarray:
-    """Right-hand side of the flow at the point y of n coordinates.
-
-    Every space-like derivative is the sum of the time-like coordinates and
-    every time-like derivative is the sum of the space-like ones; the shared
-    value per block is what drives the uniform parametrization. This is the
-    right-hand side `integrate_batch` steps, on a batch of one.
-    """
-    state = _padded([sig], [y])
-    out = np.zeros_like(state)
-    _flow_rhs([sig])(state, out)
-    return out[0, _columns([sig])[0]]
-
-
 def _columns(sigs) -> list:
     """Per signature, the columns of its n coordinates in the padded batch state.
 
@@ -157,21 +102,6 @@ def _columns(sigs) -> list:
     """
     S = max(sig.s for sig in sigs)
     return [np.r_[1 : 1 + sig.s, S + 2 : S + 2 + sig.r] for sig in sigs]
-
-
-def _padded(sigs, rows) -> np.ndarray:
-    """The (B, S + R + 2) batch state holding one row of n coordinates per signature."""
-    S = max(sig.s for sig in sigs)
-    state = np.zeros((len(sigs), S + max(sig.r for sig in sigs) + 2))
-    for b, (sig, cols) in enumerate(zip(sigs, _columns(sigs))):
-        y = np.asarray(rows[b], dtype=float)
-        if y.shape != (sig.n,):
-            raise ValueError(
-                f"initial point must have shape ({sig.n},) for signature "
-                f"({sig.s},{sig.r}), got shape {y.shape}"
-            )
-        state[b, cols] = y
-    return state
 
 
 def _flow_rhs(sigs):
@@ -210,9 +140,9 @@ def integrate_batch(cfgs, initials) -> list:
     `cfgs` may differ in their curve spec but must share psi_start, psi_end
     and steps; `initials` holds each flow's start point, an (n,) array. The
     flows are stepped together as the rows of one padded (B, S + R + 2)
-    state (see `_columns`), and each returned Trajectory equals the
-    `integrate` run of its own config bit for bit. Velocities are recorded
-    from the right-hand side at every sample.
+    state (see `_columns`), and each returned flow equals the `integrate`
+    run of its own config bit for bit. Velocities are recorded from the
+    right-hand side at every sample.
     """
     cfgs, initials = list(cfgs), list(initials)
     if not cfgs or len(cfgs) != len(initials):
@@ -222,18 +152,26 @@ def integrate_batch(cfgs, initials) -> list:
            for c in cfgs):
         raise ValueError("batched configs must share psi_start, psi_end and steps")
     sigs = [cfg.spec.sig for cfg in cfgs]
-    y0 = _padded(sigs, initials)
-    grid = first.grid()
+    columns = _columns(sigs)
+    width = max(sig.s for sig in sigs) + max(sig.r for sig in sigs) + 2
+    samples = first.grid().shape[0]
     h = first.step
     rhs = _flow_rhs(sigs)
     # zero-filled, so the padding and the blocks' leading zeros stay +0.0
-    points = np.zeros((grid.shape[0],) + y0.shape)
+    points = np.zeros((samples, len(sigs), width))
     velocities = np.zeros_like(points)
-    k2, k3, k4 = np.zeros((3,) + y0.shape)
-    points[0] = y0
+    k2, k3, k4 = np.zeros((3, len(sigs), width))
+    for b, (sig, y) in enumerate(zip(sigs, initials)):
+        y = np.asarray(y, dtype=float)
+        if y.shape != (sig.n,):
+            raise ValueError(
+                f"initial point must have shape ({sig.n},) for signature "
+                f"({sig.s},{sig.r}), got shape {y.shape}"
+            )
+        points[0, b, columns[b]] = y
     rhs(points[0], velocities[0])
     half, sixth = 0.5 * h, h / 6.0
-    for k in range(grid.shape[0] - 1):
+    for k in range(samples - 1):
         # the first stage is the velocity already recorded for this sample
         y, k1 = points[k], velocities[k]
         rhs(y + half * k1, k2)
@@ -241,65 +179,55 @@ def integrate_batch(cfgs, initials) -> list:
         rhs(y + h * k3, k4)
         np.add(y, sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=points[k + 1])
         rhs(points[k + 1], velocities[k + 1])
-    return [Trajectory(cfg.spec, Provenance.INTEGRATED, grid, points[:, b, cols],
-                       velocities[:, b, cols])
-            for b, (cfg, cols) in enumerate(zip(cfgs, _columns(sigs)))]
+    return [np.hstack((points[:, b, cols], velocities[:, b, cols]))
+            for b, cols in enumerate(columns)]
 
 
-def integrate(cfg: IntegratorConfig, initial: np.ndarray) -> Trajectory:
+def integrate(cfg: IntegratorConfig, initial: np.ndarray) -> np.ndarray:
     """Classic four-stage fixed-step integration of the flow.
 
     `initial` is the start point, an (n,) array; this is `integrate_batch`
-    with a batch of one. Deterministic for fixed inputs.
+    with a batch of one. Returns the flow, a (steps + 1, 2n) array whose row
+    k is [point | velocity] at cfg.grid()[k]. Deterministic for fixed inputs.
     """
     return integrate_batch([cfg], [initial])[0]
 
 
-def closed_form_trajectory(cfg: IntegratorConfig) -> Trajectory:
+def closed_form_trajectory(cfg: IntegratorConfig) -> np.ndarray:
     """The closed-form curve and its velocity on the grid `integrate` uses.
 
-    Row k equals `point_at` / `velocity_at` at grid[k] bit for bit.
+    Laid out as `integrate`'s flow: row k is [point_at | velocity_at] at
+    cfg.grid()[k], bit for bit.
     """
     grid = cfg.grid()
-    points = curve_derivative(cfg.spec, grid, 0)
-    velocities = curve_derivative(cfg.spec, grid, 1)
-    return Trajectory(cfg.spec, Provenance.CLOSED_FORM, grid, points, velocities)
+    return np.hstack((curve_derivative(cfg.spec, grid, 0), curve_derivative(cfg.spec, grid, 1)))
 
 
-def max_deviation(a: Trajectory, b: Trajectory) -> float:
-    """Largest coordinate difference between two trajectories on one grid.
+def max_deviation(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest coordinate difference between two flows of the same shape.
 
-    Covers both the point and the velocity channels. The trajectories must
-    share their signature and their psi grid exactly.
+    Covers both the point and the velocity channels.
     """
-    if a.spec.sig != b.spec.sig:
-        raise ValueError("trajectories have different signatures")
-    if not np.array_equal(a.psi, b.psi):
-        raise ValueError("trajectories are sampled on different psi grids")
-    dev_p = float(np.max(np.abs(a.points - b.points))) if len(a) else 0.0
-    dev_v = float(np.max(np.abs(a.velocities - b.velocities))) if len(a) else 0.0
-    return max(dev_p, dev_v)
+    if a.shape != b.shape:
+        raise ValueError(f"flows have different shapes {a.shape} and {b.shape}")
+    return float(np.max(np.abs(a - b), initial=0.0))
 
 
-def second_order_residual(traj: Trajectory) -> float:
+def second_order_residual(cfg: IntegratorConfig, flow: np.ndarray) -> float:
     """Worst violation of x'' = s*r*x estimated by central second differences.
 
-    Needs at least three uniformly spaced samples; the stencil is second
-    order, so on closed-form samples the residual is dominated by
-    (h^2 / 12) * (s*r)^2 * max|x|.
+    `flow` is sampled on cfg.grid() and needs at least three samples; the
+    stencil is second order, so on closed-form samples the residual is
+    dominated by (h^2 / 12) * (s*r)^2 * max|x|.
     """
-    m = len(traj)
+    m = len(flow)
     if m < 3:
         raise ValueError(f"need at least 3 samples, got {m}")
-    h = (traj.psi[-1] - traj.psi[0]) / (m - 1)
-    d = np.diff(traj.psi)
-    if np.max(np.abs(d - h)) > 1e-9 * abs(h):
-        raise ValueError("psi grid is not uniform")
-    s = traj.spec.sig.s
-    sr = s * traj.spec.sig.r
-    x = traj.points[:, s:]
+    h = cfg.step
+    s, n = cfg.spec.sig.s, cfg.spec.sig.n
+    x = flow[:, s:n]
     xdd = (x[2:] - 2.0 * x[1:-1] + x[:-2]) / (h * h)
-    return float(np.max(np.abs(xdd - sr * x[1:-1])))
+    return float(np.max(np.abs(xdd - s * cfg.spec.sig.r * x[1:-1])))
 
 
 def check_span(psi_start: float, psi_end: float) -> None:
@@ -310,24 +238,21 @@ def check_span(psi_start: float, psi_end: float) -> None:
         )
 
 
-def convergence_order(trajs) -> float:
-    """Fitted order of accuracy of integrated trajectories at several step counts.
+def convergence_order(cfgs, flows) -> float:
+    """Fitted order of accuracy of integrated flows at several step counts.
 
-    `trajs` holds at least three `integrate` runs over one psi interval at
-    different step counts. Measures each one's deviation from the closed
-    form on its own grid and returns the slope of log(deviation) against
-    log(step size). The classic four-stage scheme gives about 4.
+    `flows` holds at least three `integrate` runs over one psi interval at
+    different step counts, and `cfgs` their configs. Measures each one's
+    deviation from the closed form on its own grid and returns the slope of
+    log(deviation) against log(step size). The classic four-stage scheme
+    gives about 4.
     """
-    trajs = list(trajs)
-    if len(trajs) < 3:
+    runs = list(zip(cfgs, flows, strict=True))
+    if len(runs) < 3:
         raise ValueError("need at least 3 step counts for a slope fit")
-    hs = []
-    devs = []
-    for traj in trajs:
-        check_span(traj.psi[0], traj.psi[-1])
-        cfg = IntegratorConfig(traj.psi[0], traj.psi[-1], len(traj) - 1, traj.spec)
-        dev = max_deviation(traj, closed_form_trajectory(cfg))
-        hs.append(abs(cfg.step))
-        devs.append(max(dev, 1e-300))
+    for cfg, _ in runs:
+        check_span(cfg.psi_start, cfg.psi_end)
+    hs = [abs(cfg.step) for cfg, _ in runs]
+    devs = [max(max_deviation(flow, closed_form_trajectory(cfg)), 1e-300) for cfg, flow in runs]
     slope, _ = np.polyfit(np.log(hs), np.log(devs), 1)
     return float(slope)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bundle import bundle_dim, curve_lift
 from .geometry import (DEFAULT_TOL, CurveSpec, Signature, curve_derivative, inner_product,
-                       point_at, velocity_at)
+                       is_integer, point_at, velocity_at)
 from .ode import (IntegratorConfig, check_resolved, check_span, closed_form_trajectory,
                   convergence_order, integrate_batch, max_deviation)
 from .transform import apply, boost, isometry_defect, random_isometry
@@ -93,13 +93,20 @@ def _max_abs(arr: np.ndarray) -> float:
     return float(np.max(np.abs(arr)))
 
 
-def _cell_spec(sig, radius, psi_start, psi_end, samples, steps, tol, fault_r_eff) -> CurveSpec:
+def _cell_spec(sig, radius, psi_start, psi_end, samples, steps, tol, seed,
+               fault_r_eff) -> CurveSpec:
     """Validate one cell's parameters; return the spec its curve is evaluated with.
 
     Raises ValueError for a cell the battery cannot serve, naming the limit.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
+    if tol == math.inf:
+        # the bounds scale with tol, and an infinite bound passes any residual
+        raise ValueError(f"tolerance must be finite, got {tol}")
+    # numpy seeds a generator from non-negative integers only
+    if not is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if samples < 2:
         raise ValueError(f"need at least 2 psi samples, got {samples}")
     spec = CurveSpec(sig, radius)  # rejects a bad radius before any use of it
@@ -174,10 +181,10 @@ def run_cell_checks(
 ) -> CellReport:
     """Run the full battery for one cell and report worst residuals.
 
-    `flows` holds the cell's integrated trajectories as `run_sweep` batches
+    `flows` holds the cell's integrated flows as `run_sweep` batches
     them; left out, the cell integrates its own.
     """
-    spec = _cell_spec(sig, radius, psi_start, psi_end, samples, steps, tol, fault_r_eff)
+    spec = _cell_spec(sig, radius, psi_start, psi_end, samples, steps, tol, seed, fault_r_eff)
     if flows is None:
         flows = _integrate_cells([spec], psi_start, psi_end, steps)[0]
     r2 = radius * radius
@@ -206,23 +213,22 @@ def run_cell_checks(
     checks.append(Check("velocity_fd", worst_fd, 1e-8 * max(1.0, r * spec.r_eff)))
 
     # integrated flow against the closed form, plus conservation along it
+    cfg, *fit_cfgs = [IntegratorConfig(psi_start, psi_end, k, spec)
+                      for k in (steps, *_CONVERGENCE_STEPS)]
     num, *fits = flows
-    ref = closed_form_trajectory(IntegratorConfig(psi_start, psi_end, steps, spec))
+    ref = closed_form_trajectory(cfg)
     psi_max = max(abs(psi_start), abs(psi_end))
     dev_bound = 1e-7 * (1.0 + r * spec.r_eff * math.cosh(psi_max * w))
     checks.append(Check("flow_deviation", max_deviation(num, ref), dev_bound))
-    worst_fquad = _max_abs(inner_product(num.points, num.points, sig) - r2)
-    worst_forth = _max_abs(inner_product(num.points, num.velocities, sig))
+    num_p, num_v = num[:, :n], num[:, n:]
+    worst_fquad = _max_abs(inner_product(num_p, num_p, sig) - r2)
+    worst_forth = _max_abs(inner_product(num_p, num_v, sig))
     checks.append(Check("flow_quadric", worst_fquad, 1e-7 * r2))
     checks.append(Check("flow_orthogonality", worst_forth, 1e-7 * r2))
     checks.append(
-        Check(
-            "flow_uniformity",
-            max(_block_spread(num.points, s), _block_spread(num.velocities, s)),
-            0.0,
-        )
+        Check("flow_uniformity", max(_block_spread(num_p, s), _block_spread(num_v, s)), 0.0)
     )
-    slope = convergence_order(fits)
+    slope = convergence_order(fit_cfgs, fits)
     checks.append(Check("convergence_order", abs(slope - 4.0), 0.3))
 
     # bundle bookkeeping on the lift tower, one whole-array lift per order
@@ -307,7 +313,7 @@ def run_sweep(max_sig: int = 4, radii=(1.0,), **cell):
         raise TypeError(f"run_cell_checks() got unexpected keyword arguments {unknown}")
     p = {**_CELL_DEFAULTS, **cell}
     specs = [_cell_spec(sig, radius, p["psi_start"], p["psi_end"], p["samples"], p["steps"],
-                        p["tol"], p["fault_r_eff"])
+                        p["tol"], p["seed"], p["fault_r_eff"])
              for sig, radius in cells]
     group = max(1, _BATCH_SAMPLES // (p["steps"] + 1))
     reports = []

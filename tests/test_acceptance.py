@@ -118,16 +118,16 @@ def test_criterion_4_ode_oracle_equivalence():
     cfgs = [IntegratorConfig(0.0, 1.5, 2000, CurveSpec(sig, radius))
             for sig in FULL_GRID for radius in RADII]
     worst_ratio = 0.0
-    for cfg, traj in zip(cfgs, integrate_batch(cfgs, [point_at(0.0, c.spec) for c in cfgs])):
+    for cfg, flow in zip(cfgs, integrate_batch(cfgs, [point_at(0.0, c.spec) for c in cfgs])):
         spec = cfg.spec
-        dev = max_deviation(traj, closed_form_trajectory(cfg))
+        dev = max_deviation(flow, closed_form_trajectory(cfg))
         bound = 1e-7 * (1.0 + spec.sig.r * spec.r_eff * math.cosh(1.5 * spec.frequency))
         worst_ratio = max(worst_ratio, dev / bound)
     specs = [CurveSpec(sig, 1.0) for sig in FULL_GRID]
-    fits = [integrate_batch([IntegratorConfig(0.0, 1.5, k, spec) for spec in specs],
-                            [point_at(0.0, spec) for spec in specs])
-            for k in (60, 120, 240)]
-    slopes = [convergence_order(runs) for runs in zip(*fits)]
+    fit_cfgs = [[IntegratorConfig(0.0, 1.5, k, spec) for spec in specs] for k in (60, 120, 240)]
+    fits = [integrate_batch(row, [point_at(0.0, spec) for spec in specs]) for row in fit_cfgs]
+    slopes = [convergence_order(run_cfgs, runs)
+              for run_cfgs, runs in zip(zip(*fit_cfgs), zip(*fits))]
     elapsed = time.perf_counter() - t0
     slope_ok = all(abs(sl - 4.0) <= 0.3 for sl in slopes)
     ok = worst_ratio <= 1.0 and slope_ok and elapsed < 30.0
@@ -148,9 +148,10 @@ def test_criterion_5_second_order_reduction():
             continue
         for radius in (1.0, 2.0):
             spec = CurveSpec(sig, radius)
-            traj = closed_form_trajectory(IntegratorConfig(0.0, 1.0, 1000, spec))
-            resid = second_order_residual(traj)
-            bound = 1e-5 * float(np.max(np.abs(traj.points[:, sig.s :])))
+            cfg = IntegratorConfig(0.0, 1.0, 1000, spec)
+            flow = closed_form_trajectory(cfg)
+            resid = second_order_residual(cfg, flow)
+            bound = 1e-5 * float(np.max(np.abs(flow[:, sig.s : sig.n])))
             worst_ratio = max(worst_ratio, resid / bound)
     ok = worst_ratio <= 1.0
     report(5, "x'' = s*r*x residual at h=1e-3", ok, f" worst resid/bound {worst_ratio:.2e}")
@@ -167,9 +168,9 @@ def test_criterion_6_uniformity():
             spec = CurveSpec(sig, radius)
             for psi_end in (1.5, -1.5):
                 cfg = IntegratorConfig(0.0, psi_end, 300, spec)
-                for traj in (closed_form_trajectory(cfg), integrate(cfg, point_at(0.0, spec))):
-                    ok = ok and blocks_bit_equal(traj.points, sig.s)
-                    ok = ok and blocks_bit_equal(traj.velocities, sig.s)
+                for flow in (closed_form_trajectory(cfg), integrate(cfg, point_at(0.0, spec))):
+                    ok = ok and blocks_bit_equal(flow[:, : sig.n], sig.s)
+                    ok = ok and blocks_bit_equal(flow[:, sig.n :], sig.s)
     report(6, "blocks stay pairwise bit-equal", ok)
     assert ok
 

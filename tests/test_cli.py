@@ -17,7 +17,7 @@ import pytest
 
 from pseudohyp import (CurveSpec, IntegratorConfig, Signature, closed_form_trajectory, integrate,
                        point_at)
-from pseudohyp import cli
+from pseudohyp import cli, verify
 from pseudohyp.cli import main
 from pseudohyp.verify import run_sweep
 
@@ -49,11 +49,11 @@ def test_generate_csv_roundtrip_bitexact(tmp_path):
             "--psi-end", "0.9", "--steps", "17", "--out", str(out)]
     assert main(args) == 0
     header, data = read_csv(out)
-    spec = CurveSpec(Signature(2, 3), 1.7)
-    traj = closed_form_trajectory(IntegratorConfig(-1.1, 0.9, 17, spec))
-    assert np.array_equal(data[:, 0], traj.psi)
-    assert np.array_equal(data[:, 1:6], traj.points)
-    assert np.array_equal(data[:, 6:11], traj.velocities)
+    cfg = IntegratorConfig(-1.1, 0.9, 17, CurveSpec(Signature(2, 3), 1.7))
+    flow = closed_form_trajectory(cfg)
+    assert np.array_equal(data[:, 0], cfg.grid())
+    assert np.array_equal(data[:, 1:6], flow[:, :5])
+    assert np.array_equal(data[:, 6:11], flow[:, 5:])
 
 
 def test_generate_json_roundtrip_bitexact(tmp_path):
@@ -66,26 +66,26 @@ def test_generate_json_roundtrip_bitexact(tmp_path):
     assert doc["s"] == 1 and doc["r"] == 2
     assert doc["radius"] == 2.0
     assert doc["mode"] == "closed_form"
-    spec = CurveSpec(Signature(1, 2), 2.0)
-    traj = closed_form_trajectory(IntegratorConfig(0.0, 1.5, 12, spec))
+    cfg = IntegratorConfig(0.0, 1.5, 12, CurveSpec(Signature(1, 2), 2.0))
+    flow = closed_form_trajectory(cfg)
     assert len(doc["samples"]) == 13
     for k, sample in enumerate(doc["samples"]):
-        assert sample["psi"] == traj.psi[k]
-        assert np.array_equal(sample["t"] + sample["x"], traj.points[k])
-        assert np.array_equal(sample["dt"] + sample["dx"], traj.velocities[k])
+        assert sample["psi"] == cfg.grid()[k]
+        assert np.array_equal(sample["t"] + sample["x"], flow[k, :3])
+        assert np.array_equal(sample["dt"] + sample["dx"], flow[k, 3:])
 
 
-def reference_csv(traj, table, stream):
+def reference_csv(spec, table, stream):
     # the writer as csv.writer, one formatted value at a time
     writer = csv.writer(stream)
-    writer.writerow(cli._columns(traj.spec.sig))
+    writer.writerow(cli._columns(spec.sig))
     for row in table:
         writer.writerow(format(v, ".17g") for v in row.tolist())
 
 
-def reference_json(traj, table, stream):
+def reference_json(spec, mode, table, stream):
     # the writer as json.dump of one dict per sample
-    sig = traj.spec.sig
+    sig = spec.sig
     samples = []
     for row in table:
         vals = row.tolist()
@@ -103,8 +103,8 @@ def reference_json(traj, table, stream):
     doc = {
         "s": sig.s,
         "r": sig.r,
-        "radius": traj.spec.radius,
-        "mode": traj.provenance.value,
+        "radius": spec.radius,
+        "mode": mode,
         "samples": samples,
     }
     json.dump(doc, stream, indent=2)
@@ -114,9 +114,14 @@ def reference_json(traj, table, stream):
 WRITERS = {"csv": (cli.write_csv, reference_csv), "json": (cli.write_json, reference_json)}
 
 
-def written(writer, traj, table):
+def head(fmt, cfg, mode):
+    """The writer arguments before the table: the curve, and for JSON the mode."""
+    return (cfg.spec,) if fmt == "csv" else (cfg.spec, mode)
+
+
+def written(writer, head, table):
     stream = io.StringIO(newline="")
-    writer(traj, table, stream)
+    writer(*head, table, stream)
     return stream.getvalue()
 
 
@@ -129,12 +134,13 @@ def parsed(fmt, text):
 
 
 def trajectory(sig, mode, rows):
+    """A config and its flow of `rows` samples."""
     spec = CurveSpec(Signature(*sig), 1.7)
     # one row is the zero-length interval, which has a single sample
     cfg = IntegratorConfig(-1.5, -1.5 if rows == 1 else 2.5, max(rows - 1, 1), spec)
     if mode == "closed_form":
-        return closed_form_trajectory(cfg)
-    return integrate(cfg, point_at(cfg.psi_start, spec))
+        return cfg, closed_form_trajectory(cfg)
+    return cfg, integrate(cfg, point_at(cfg.psi_start, spec))
 
 
 @pytest.mark.parametrize("mode", ["closed_form", "integrated"])
@@ -142,12 +148,12 @@ def trajectory(sig, mode, rows):
 def test_writers_match_reference_writers(sig, mode):
     block = cli._BLOCK_ROWS
     for rows in (1, block - 1, block, block + 1, 2 * block + 1):
-        traj = trajectory(sig, mode, rows)
-        table = cli._sample_values(traj)
+        cfg, flow = trajectory(sig, mode, rows)
+        table = cli._sample_values(cfg, flow)
         assert len(table) == rows
         for fmt, (writer, reference) in WRITERS.items():
-            text = written(writer, traj, table)
-            assert text == written(reference, traj, table), (fmt, rows)
+            text = written(writer, head(fmt, cfg, mode), table)
+            assert text == written(reference, head(fmt, cfg, mode), table), (fmt, rows)
             assert parsed(fmt, text).tobytes() == table.tobytes(), (fmt, rows)
 
 
@@ -156,10 +162,10 @@ def test_writers_match_reference_on_hand_made_values():
     # repr and 17-digit forms differ; seven values fill one (1,1) row
     values = [-0.0, 5e-324, 1e300, -1e-300, 0.1, 1e16, 123456789012345680.0]
     table = np.array([np.roll(values, k) for k in range(len(values))])
-    traj = trajectory((1, 1), "closed_form", len(values))
+    cfg, _ = trajectory((1, 1), "closed_form", len(values))
     for fmt, (writer, reference) in WRITERS.items():
-        text = written(writer, traj, table)
-        assert text == written(reference, traj, table), fmt
+        text = written(writer, head(fmt, cfg, "closed_form"), table)
+        assert text == written(reference, head(fmt, cfg, "closed_form"), table), fmt
         assert parsed(fmt, text).tobytes() == table.tobytes(), fmt
 
 
@@ -177,14 +183,14 @@ class RecordingStream:
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_writers_stream_in_blocks(fmt):
     # both tables repeat one block of rows, so every block formats alike
-    traj = trajectory((4, 4), "closed_form", cli._BLOCK_ROWS)
-    block = cli._sample_values(traj)
+    cfg, flow = trajectory((4, 4), "closed_form", cli._BLOCK_ROWS)
+    block = cli._sample_values(cfg, flow)
     largest, peak = [], []
     for table in (np.tile(block, (4, 1)), np.tile(block, (8, 1))):
         stream = RecordingStream()
         tracemalloc.start()
         try:
-            WRITERS[fmt][0](traj, table, stream)
+            WRITERS[fmt][0](*head(fmt, cfg, "closed_form"), table, stream)
             peak.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -255,14 +261,45 @@ def test_generate_rejects_unresolved_integrated_step(tmp_path, capsys):
     assert main([*coarse, "--mode", "closed_form", "--psi-end", "2.9"]) == 0
 
 
+def test_generate_integrated_overflow_is_only_reported(tmp_path, capsys):
+    # resolved (h*sqrt(s*r) = 0.403), but the flow passes the float range: the
+    # numpy overflow warnings stay silent, so under warnings-as-errors main
+    # still returns 1, and the non-finite message is the whole output
+    out = tmp_path / "traj.csv"
+    argv = ["generate", "--sig", "2,2", "--mode", "integrated", "--psi-end", "400",
+            "--steps", "2000", "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: non-finite coordinates or residuals")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_generate_names_the_coarse_step_before_integrating(tmp_path, monkeypatch, capsys):
+    # h*sqrt(s*r) = 100.03 is far too coarse for RK4; the curve overflows on
+    # this range as well, which no step count mends, so both are named
+    def unreachable(*args):
+        raise AssertionError("integrated an unresolved grid")
+
+    monkeypatch.setattr(cli, "integrate", unreachable)
+    out = tmp_path / "traj.csv"
+    assert main(["generate", "--sig", "1,1", "--mode", "integrated", "--psi-end", "10000",
+                 "--steps", "100", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "h*sqrt(s*r) = 100.03 is too coarse" in err
+    assert "exceeds about 710, got 10000" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_generate_builds_table_once(tmp_path, monkeypatch, fmt):
     calls = []
     build = cli._sample_values
 
-    def counted(traj):
-        calls.append(traj)
-        return build(traj)
+    def counted(cfg, flow):
+        calls.append(flow)
+        return build(cfg, flow)
 
     monkeypatch.setattr(cli, "_sample_values", counted)
     out = tmp_path / f"traj.{fmt}"
@@ -273,8 +310,8 @@ def test_generate_builds_table_once(tmp_path, monkeypatch, fmt):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_generate_io_error_leaves_no_file(tmp_path, monkeypatch, capsys, fmt):
-    def failing(traj, table, stream):
-        stream.write("psi,t_1\n0,0\n")
+    def failing(*args):
+        args[-1].write("psi,t_1\n0,0\n")  # the stream comes last
         raise OSError("disk full")
 
     monkeypatch.setattr(cli, f"write_{fmt}", failing)
@@ -361,6 +398,21 @@ def test_verify_defaults_are_the_library_defaults(monkeypatch, capsys):
 def test_verify_rejects_zero_tolerance(capsys):
     assert main(["verify", "--tol", "0"]) == 1
     assert "tolerance" in capsys.readouterr().err
+
+
+def test_verify_rejects_infinite_tolerance(capsys):
+    # every bound that scales with the tolerance would pass any residual
+    assert main(["verify", "--max-sig", "1", "--tol", "inf"]) == 1
+    assert capsys.readouterr().err == "error: tolerance must be finite, got inf\n"
+
+
+def test_verify_rejects_negative_seed_before_integrating(monkeypatch, capsys):
+    def unreachable(*args):
+        raise AssertionError("integrated before the seed was validated")
+
+    monkeypatch.setattr(verify, "integrate_batch", unreachable)
+    assert main(["verify", "--max-sig", "1", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
 
 
 @pytest.mark.parametrize("fault", [[], ["--inject-fault", "r-eff"]], ids=["plain", "fault"])

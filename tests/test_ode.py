@@ -8,18 +8,16 @@ import pytest
 from pseudohyp import (
     CurveSpec,
     IntegratorConfig,
-    Provenance,
     Signature,
-    Trajectory,
     closed_form_trajectory,
     convergence_order,
+    curve_lift,
     inner_product,
     integrate,
     integrate_batch,
     max_deviation,
     point_at,
     second_order_residual,
-    system_rhs,
 )
 
 
@@ -27,20 +25,25 @@ def spec11(radius=1.0):
     return CurveSpec(Signature(1, 1), radius)
 
 
+def rhs(y, sig):
+    # the flow's right-hand side at y: the velocity integrate records first
+    return integrate(IntegratorConfig(0.0, 1.0, 1, CurveSpec(sig, 1.0)), y)[0, sig.n :]
+
+
 @pytest.mark.parametrize("radius", (0.5, 1.0, 2.0))
 def test_system_rhs_base_case(radius):
-    v = system_rhs(np.array([0.0, radius]), Signature(1, 1))
+    v = rhs(np.array([0.0, radius]), Signature(1, 1))
     assert v[0] == radius
     assert v[1] == 0.0
 
 
 def test_system_rhs_zero_point():
-    assert np.all(system_rhs(np.zeros(5), Signature(2, 3)) == 0.0)
+    assert np.all(rhs(np.zeros(5), Signature(2, 3)) == 0.0)
 
 
 def test_system_rhs_hand_sums():
     # sum of x-block is 6, sum of t-block is 2
-    v = system_rhs(np.array([1.0, 1.0, 2.0, 2.0, 2.0]), Signature(2, 3))
+    v = rhs(np.array([1.0, 1.0, 2.0, 2.0, 2.0]), Signature(2, 3))
     assert np.array_equal(v, [6.0, 6.0, 2.0, 2.0, 2.0])
 
 
@@ -77,11 +80,10 @@ def test_zero_span_single_sample():
     spec = spec11()
     cfg = IntegratorConfig(1.5, 1.5, 1, spec)
     initial = point_at(1.5, spec)
-    traj = integrate(cfg, initial)
-    assert len(traj) == 1
-    assert np.array_equal(traj.points[0], initial)
-    ref = closed_form_trajectory(cfg)
-    assert len(ref) == 1 and ref.psi[0] == 1.5
+    flow = integrate(cfg, initial)
+    assert flow.shape == (1, 4)
+    assert np.array_equal(flow[0, :2], initial)
+    assert closed_form_trajectory(cfg).shape == (1, 4) and list(cfg.grid()) == [1.5]
 
 
 def test_integrate_signature_mismatch():
@@ -95,55 +97,68 @@ def test_integrate_signature_mismatch():
 def test_integrate_base_case_oracle():
     spec = spec11()
     cfg = IntegratorConfig(0.0, 1.0, 1000, spec)
-    traj = integrate(cfg, point_at(0.0, spec))
-    assert abs(traj.points[-1][0] - math.sinh(1.0)) <= 1e-9
-    assert abs(traj.points[-1][1] - math.cosh(1.0)) <= 1e-9
+    flow = integrate(cfg, point_at(0.0, spec))
+    assert abs(flow[-1, 0] - math.sinh(1.0)) <= 1e-9
+    assert abs(flow[-1, 1] - math.cosh(1.0)) <= 1e-9
 
 
 def test_integrate_one_two_oracle():
     # R_eff = 1, so t_1 = sqrt(2) sinh(sqrt(2) psi) and x_2 = x_3 = cosh(sqrt(2) psi)
     spec = CurveSpec(Signature(1, 2), math.sqrt(2.0))
     cfg = IntegratorConfig(0.0, 1.0, 2000, spec)
-    traj = integrate(cfg, point_at(0.0, spec))
+    flow = integrate(cfg, point_at(0.0, spec))
     w = math.sqrt(2.0)
-    assert abs(traj.points[-1][0] - w * math.sinh(w)) <= 1e-8
-    assert abs(traj.points[-1][1] - math.cosh(w)) <= 1e-8
-    assert traj.points[-1][1] == traj.points[-1][2]
+    assert abs(flow[-1, 0] - w * math.sinh(w)) <= 1e-8
+    assert abs(flow[-1, 1] - math.cosh(w)) <= 1e-8
+    assert flow[-1, 1] == flow[-1, 2]
 
 
 def test_closed_form_initial_condition_row():
     for sig in (Signature(1, 1), Signature(2, 3)):
         spec = CurveSpec(sig, 2.0)
-        traj = closed_form_trajectory(IntegratorConfig(0.0, 1.0, 4, spec))
-        assert np.all(traj.points[0][: sig.s] == 0.0)
-        assert np.all(traj.points[0][sig.s :] == spec.r_eff)
-        assert traj.provenance is Provenance.CLOSED_FORM
+        flow = closed_form_trajectory(IntegratorConfig(0.0, 1.0, 4, spec))
+        assert np.all(flow[0, : sig.s] == 0.0)
+        assert np.all(flow[0, sig.s : sig.n] == spec.r_eff)
 
 
 def test_closed_form_base_case_values():
     spec = spec11(2.0)
-    traj = closed_form_trajectory(IntegratorConfig(-1.0, 1.0, 20, spec))
-    for k, psi in enumerate(traj.psi):
-        assert traj.points[k][0] == 2.0 * math.sinh(psi)
-        assert traj.points[k][1] == 2.0 * math.cosh(psi)
+    cfg = IntegratorConfig(-1.0, 1.0, 20, spec)
+    flow = closed_form_trajectory(cfg)
+    for k, psi in enumerate(cfg.grid()):
+        assert flow[k, 0] == 2.0 * math.sinh(psi)
+        assert flow[k, 1] == 2.0 * math.cosh(psi)
 
 
 def test_closed_form_matches_point_at_bitwise():
     from pseudohyp import curve_derivative, velocity_at
 
     spec = CurveSpec(Signature(3, 2), 1.5)
-    traj = closed_form_trajectory(IntegratorConfig(-0.7, 1.3, 13, spec))
-    for k, psi in enumerate(traj.psi):
-        assert np.array_equal(traj.points[k], point_at(psi, spec))
-        assert np.array_equal(traj.velocities[k], velocity_at(psi, spec))
+    cfg = IntegratorConfig(-0.7, 1.3, 13, spec)
+    flow = closed_form_trajectory(cfg)
+    for k, psi in enumerate(cfg.grid()):
+        assert np.array_equal(flow[k, :5], point_at(psi, spec))
+        assert np.array_equal(flow[k, 5:], velocity_at(psi, spec))
     for m in range(4):
-        rows = [curve_derivative(spec, psi, m) for psi in traj.psi]
-        assert np.array_equal(curve_derivative(spec, traj.psi, m), rows)
+        rows = [curve_derivative(spec, psi, m) for psi in cfg.grid()]
+        assert np.array_equal(curve_derivative(spec, cfg.grid(), m), rows)
+
+
+def test_flows_are_order_one_lifts():
+    # closed form and integrated alike: row k is [point | velocity] at grid[k]
+    cfgs = [IntegratorConfig(-0.7, 1.3, 13, CurveSpec(sig, 1.5))
+            for sig in (Signature(1, 1), Signature(3, 2), Signature(2, 9))]
+    for cfg in cfgs:
+        want = curve_lift(cfg.spec, cfg.grid(), 1)
+        assert closed_form_trajectory(cfg).tobytes() == want.tobytes()
+        assert closed_form_trajectory(cfg).shape == want.shape == (14, 2 * cfg.spec.sig.n)
+    flows = integrate_batch(cfgs, [point_at(-0.7, cfg.spec) for cfg in cfgs])
+    assert [flow.shape for flow in flows] == [(14, 2 * cfg.spec.sig.n) for cfg in cfgs]
 
 
 def test_max_deviation_identity():
-    traj = closed_form_trajectory(IntegratorConfig(0.0, 1.0, 10, spec11()))
-    assert max_deviation(traj, traj) == 0.0
+    flow = closed_form_trajectory(IntegratorConfig(0.0, 1.0, 10, spec11()))
+    assert max_deviation(flow, flow) == 0.0
 
 
 def test_max_deviation_oracle_and_step_halving():
@@ -169,83 +184,77 @@ def test_max_deviation_grid_mismatch():
 
 
 def test_second_order_residual_closed_form():
-    traj = closed_form_trajectory(IntegratorConfig(0.0, 1.0, 1000, spec11()))
-    assert second_order_residual(traj) <= 1e-5 * np.max(np.abs(traj.points[:, 1:]))
+    cfg = IntegratorConfig(0.0, 1.0, 1000, spec11())
+    flow = closed_form_trajectory(cfg)
+    assert second_order_residual(cfg, flow) <= 1e-5 * np.max(np.abs(flow[:, 1:2]))
 
 
 def test_second_order_residual_zero_channel():
-    spec = CurveSpec(Signature(2, 2), 1.0)
-    psi = np.linspace(0.0, 1.0, 11)
-    pts = np.zeros((11, 4))
-    pts[:, 0] = np.linspace(1.0, 2.0, 11)  # only the x-channel enters
-    traj = Trajectory(spec, Provenance.CLOSED_FORM, psi, pts, np.zeros((11, 4)))
-    assert second_order_residual(traj) == 0.0
+    cfg = IntegratorConfig(0.0, 1.0, 10, CurveSpec(Signature(2, 2), 1.0))
+    flow = np.zeros((11, 8))
+    flow[:, 0] = np.linspace(1.0, 2.0, 11)  # only the x-channel enters
+    flow[:, 4:] = 7.0  # and no velocity
+    assert second_order_residual(cfg, flow) == 0.0
 
 
 def test_second_order_residual_exponential_solution():
     # x(psi) = exp(sqrt(s*r) psi) solves the reduced equation exactly, so the
     # residual sits at the central-difference truncation floor
-    spec = CurveSpec(Signature(1, 2), 1.0)
-    w = spec.frequency
+    cfg = IntegratorConfig(0.0, 1.0, 1000, CurveSpec(Signature(1, 2), 1.0))
+    w = cfg.spec.frequency
     h = 1e-3
-    psi = np.linspace(0.0, 1.0, 1001)
-    pts = np.zeros((psi.size, 3))
-    pts[:, 1] = np.exp(w * psi)
-    pts[:, 2] = np.exp(w * psi)
-    traj = Trajectory(spec, Provenance.CLOSED_FORM, psi, pts, np.zeros_like(pts))
-    resid = second_order_residual(traj)
-    model = (h * h / 12.0) * (w**4) * float(np.max(pts))
+    psi = cfg.grid()
+    flow = np.zeros((psi.size, 6))
+    flow[:, 1] = np.exp(w * psi)
+    flow[:, 2] = np.exp(w * psi)
+    resid = second_order_residual(cfg, flow)
+    model = (h * h / 12.0) * (w**4) * float(np.max(flow))
     assert 0.0 < resid <= 2.0 * model
 
 
 def test_second_order_residual_errors():
-    spec = spec11()
-    short = closed_form_trajectory(IntegratorConfig(0.0, 1.0, 1, spec))
-    with pytest.raises(ValueError):
-        second_order_residual(short)
-    psi = np.array([0.0, 0.1, 0.35])
-    pts = np.zeros((3, 2))
-    uneven = Trajectory(spec, Provenance.CLOSED_FORM, psi, pts, pts.copy())
-    with pytest.raises(ValueError):
-        second_order_residual(uneven)
+    short = IntegratorConfig(0.0, 1.0, 1, spec11())
+    with pytest.raises(ValueError, match="at least 3 samples"):
+        second_order_residual(short, closed_form_trajectory(short))
 
 
 @pytest.mark.parametrize("sig", [Signature(1, 1), Signature(2, 3), Signature(4, 4)])
 def test_flow_conserves_quadric_and_orthogonality(sig):
     spec = CurveSpec(sig, 1.0)
     cfg = IntegratorConfig(0.0, 1.5, 2000, spec)
-    traj = integrate(cfg, point_at(0.0, spec))
-    for k in range(len(traj)):
-        assert abs(inner_product(traj.points[k], traj.points[k], sig) - 1.0) <= 1e-7
-        assert abs(inner_product(traj.points[k], traj.velocities[k], sig)) <= 1e-7
+    flow = integrate(cfg, point_at(0.0, spec))
+    for row in flow:
+        p, v = row[: sig.n], row[sig.n :]
+        assert abs(inner_product(p, p, sig) - 1.0) <= 1e-7
+        assert abs(inner_product(p, v, sig)) <= 1e-7
 
 
 def test_flow_uniformity_bitwise():
     spec = CurveSpec(Signature(3, 2), 1.0)
     cfg = IntegratorConfig(0.0, 1.5, 500, spec)
-    traj = integrate(cfg, point_at(0.0, spec))
+    flow = integrate(cfg, point_at(0.0, spec))
     s = spec.sig.s
-    for arr in (traj.points, traj.velocities):
+    for arr in (flow[:, :5], flow[:, 5:]):
         assert np.all(arr[:, :s] == arr[:, :1])
         assert np.all(arr[:, s:] == arr[:, s : s + 1])
 
 
 def runs(spec, psi_start, psi_end, step_counts):
-    # the integrated runs a slope fit takes, one per step count
-    return [integrate(IntegratorConfig(psi_start, psi_end, k, spec), point_at(psi_start, spec))
-            for k in step_counts]
+    # the configs and integrated runs a slope fit takes, one per step count
+    cfgs = [IntegratorConfig(psi_start, psi_end, k, spec) for k in step_counts]
+    return cfgs, [integrate(cfg, point_at(psi_start, spec)) for cfg in cfgs]
 
 
 def test_convergence_order_estimate():
-    slope = convergence_order(runs(CurveSpec(Signature(2, 2), 1.0), 0.0, 1.5, (60, 120, 240)))
+    slope = convergence_order(*runs(CurveSpec(Signature(2, 2), 1.0), 0.0, 1.5, (60, 120, 240)))
     assert 3.7 <= slope <= 4.3
 
 
 def test_convergence_order_needs_three_counts():
     with pytest.raises(ValueError):
-        convergence_order(runs(spec11(), 0.0, 1.0, (100, 200)))
+        convergence_order(*runs(spec11(), 0.0, 1.0, (100, 200)))
     with pytest.raises(ValueError, match="psi_start == psi_end"):
-        convergence_order(runs(spec11(), 5.0, 5.0, (60, 120, 240)))
+        convergence_order(*runs(spec11(), 5.0, 5.0, (60, 120, 240)))
 
 
 def reference_rhs(y, sig):
@@ -287,8 +296,9 @@ def starts(spec, psi_start, rng):
     yield point_at(-0.0, spec)
 
 
-def bits(traj):
-    return traj.psi.tobytes(), traj.points.tobytes(), traj.velocities.tobytes()
+def bits(flow):
+    n = flow.shape[1] // 2
+    return flow[:, :n].tobytes(), flow[:, n:].tobytes()
 
 
 @pytest.mark.parametrize("s", range(1, 8))
@@ -301,10 +311,10 @@ def test_integrate_matches_the_reference_loop(s):
         for psi_start, psi_end in ((-1.0, 0.8), (0.8, -1.0)):
             cfg = IntegratorConfig(psi_start, psi_end, 24, spec)
             for y0 in starts(spec, psi_start, rng):
-                traj = integrate(cfg, y0)
+                flow = integrate(cfg, y0)
                 points, velocities = reference_integrate(cfg, y0)
-                assert bits(traj)[1:] == (points.tobytes(), velocities.tobytes()), (s, r)
-                assert np.array_equal(traj.psi, cfg.grid())
+                assert bits(flow) == (points.tobytes(), velocities.tobytes()), (s, r)
+                assert flow.shape == (cfg.grid().shape[0], 2 * spec.sig.n)
 
 
 BATCH_SIGS = [Signature(s, r) for s in range(1, 5) for r in range(1, 5)] + [Signature(2, 9)]
@@ -325,9 +335,9 @@ def test_integrate_batch_rows_match_integrate(psi_start, psi_end):
     for rows in (range(len(cfgs)), [i for i, c in enumerate(cfgs) if c.spec.sig == Signature(2, 9)]):
         batch = integrate_batch([cfgs[i] for i in rows], [initials[i] for i in rows])
         assert len(batch) == len(rows)
-        for i, traj in zip(rows, batch):
-            assert traj.spec is cfgs[i].spec
-            assert bits(traj) == bits(integrate(cfgs[i], initials[i])), cfgs[i].spec
+        for i, flow in zip(rows, batch):
+            assert flow.shape == (61, 2 * cfgs[i].spec.sig.n)
+            assert bits(flow) == bits(integrate(cfgs[i], initials[i])), cfgs[i].spec
 
 
 def test_integrate_batch_validation():
@@ -352,18 +362,9 @@ def test_block_sums_run_left_to_right_at_every_length():
     for s in range(1, 13):
         for _ in range(20):
             y = rng.standard_normal(s + 2) * 10.0 ** rng.integers(-8, 9, s + 2)
-            out = system_rhs(y, Signature(s, 2))
+            out = rhs(y, Signature(s, 2))
             want = 0.0
             for v in y[:s].tolist():
                 want += v
             assert out[s:].tobytes() == np.full(2, want).tobytes()
-
-
-def test_trajectory_monotonicity_validation():
-    spec = spec11()
-    pts = np.zeros((3, 2))
-    with pytest.raises(ValueError):
-        Trajectory(spec, Provenance.CLOSED_FORM, [0.0, 0.5, 0.5], pts, pts.copy())
-    with pytest.raises(ValueError):
-        Trajectory(spec, Provenance.CLOSED_FORM, [0.0, 0.5, 0.2], pts, pts.copy())
 
