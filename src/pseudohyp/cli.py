@@ -70,8 +70,8 @@ def _sample_values(cfg: IntegratorConfig, flow: np.ndarray) -> np.ndarray:
     """The output table of a flow on cfg.grid(), one row per sample in the
     column order of `_columns`.
 
-    Raises ValueError when a value is not finite, which happens once the
-    curve overflows the float range.
+    Raises ValueError when a value is not finite, naming the limit hit: the
+    residuals square the coordinates, so they overflow the float range first.
     """
     sig, radius = cfg.spec.sig, cfg.spec.radius
     p = flow[:, : sig.n]
@@ -83,6 +83,9 @@ def _sample_values(cfg: IntegratorConfig, flow: np.ndarray) -> np.ndarray:
         raise ValueError(
             "non-finite coordinates or residuals: the curve overflows once "
             "|psi|*sqrt(s*r) exceeds about 710, less for a large radius"
+            if not np.isfinite(flow).all() else
+            "non-finite residuals: form_residual and ortho_residual square the coordinates, "
+            "and overflow once |psi|*sqrt(s*r) exceeds about 355, less for a large radius"
         )
     return table
 
@@ -135,9 +138,7 @@ def cmd_generate(args) -> int:
     """Generate a trajectory per the parsed arguments and write it out."""
     spec = CurveSpec(args.sig, args.radius)
     cfg = IntegratorConfig(args.psi_start, args.psi_end, args.steps, spec)
-    if args.mode == "closed_form":
-        flow = closed_form_trajectory(cfg)
-    else:
+    if args.mode == "integrated":
         try:
             check_resolved(cfg)
         except ValueError as coarse:
@@ -147,8 +148,9 @@ def cmd_generate(args) -> int:
             except OverflowError as overflow:
                 raise ValueError(f"{coarse}; and {overflow}") from None
             raise
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-            flow = integrate(cfg, point_at(args.psi_start, spec))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        flow = (closed_form_trajectory(cfg) if args.mode == "closed_form"
+                else integrate(cfg, point_at(args.psi_start, spec)))
     # raises on non-finite values, so nothing is written before the file exists
     table = _sample_values(cfg, flow)
     head = (spec,) if args.format == "csv" else (spec, args.mode)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,7 +93,8 @@ class CurveSpec:
 
     The curve amplitude is the effective radius R/sqrt(r); with it the curve
     satisfies -sum(t_i^2) + sum(x_j^2) = R^2 identically, since the r equal
-    spatial amplitudes contribute r * (R/sqrt(r))^2 = R^2.
+    spatial amplitudes contribute r * (R/sqrt(r))^2 = R^2. R^2 must be a
+    normal float, since every residual is measured against it.
     """
 
     sig: Signature
@@ -102,6 +104,9 @@ class CurveSpec:
         object.__setattr__(self, "radius", float(self.radius))
         if not (self.radius > 0 and math.isfinite(self.radius)):
             raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        if not sys.float_info.min <= self.radius * self.radius < math.inf:
+            raise ValueError("radius must lie in about [1.5e-154, 1.3e154], so that its square "
+                             f"is a normal float, got {self.radius:g}")
 
     @property
     def r_eff(self) -> float:

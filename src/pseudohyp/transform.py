@@ -81,14 +81,16 @@ def block_rotation(sig: Signature, axis1: int, axis2: int, angle: float) -> np.n
 def apply(m: np.ndarray, x) -> np.ndarray:
     """Linear action of the (n, n) map m on a point (n,) or on rows (..., n).
 
-    For an isometry the image of an on-quadric point stays on the quadric of
-    the same constant.
+    A stack of maps (..., n, n) acts on stacks of rows (..., k, n) as numpy's
+    matmul broadcasts them: map i on rows i, or every map on shared (k, n)
+    rows. For an isometry the image of an on-quadric point stays on the
+    quadric of the same constant.
     """
     m = np.asarray(m, dtype=float)
     arr = np.asarray(x, dtype=float)
     if arr.ndim < 1 or arr.shape[-1] != m.shape[-1]:
         raise ValueError(f"expected {m.shape[-1]} coordinates per point, got shape {arr.shape}")
-    return arr @ m.T
+    return arr @ np.swapaxes(m, -1, -2)
 
 
 def isometry_defect(m: np.ndarray, sig: Signature) -> float:

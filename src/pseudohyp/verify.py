@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import inspect
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bundle import bundle_dim, curve_lift
 from .geometry import (DEFAULT_TOL, CurveSpec, Signature, curve_derivative, inner_product,
-                       is_integer, point_at, velocity_at)
+                       is_integer, point_at)
 from .ode import (IntegratorConfig, check_resolved, check_span, closed_form_trajectory,
                   convergence_order, integrate_batch, max_deviation)
 from .transform import apply, boost, isometry_defect, random_isometry
@@ -93,9 +92,11 @@ def _max_abs(arr: np.ndarray) -> float:
     return float(np.max(np.abs(arr)))
 
 
-def _cell_spec(sig, radius, psi_start, psi_end, samples, steps, tol, seed,
-               fault_r_eff) -> CurveSpec:
-    """Validate one cell's parameters; return the spec its curve is evaluated with.
+def _cell_plan(sig, radius, psi_start, psi_end, samples, steps, tol, seed,
+               fault_r_eff) -> list:
+    """Validate one cell's parameters; return its IntegratorConfigs at `steps`
+    and at each of `_CONVERGENCE_STEPS`, whose spec is the one its curve is
+    evaluated with.
 
     Raises ValueError for a cell the battery cannot serve, naming the limit.
     """
@@ -110,11 +111,6 @@ def _cell_spec(sig, radius, psi_start, psi_end, samples, steps, tol, seed,
     if samples < 2:
         raise ValueError(f"need at least 2 psi samples, got {samples}")
     spec = CurveSpec(sig, radius)  # rejects a bad radius before any use of it
-    if not sys.float_info.min <= radius * radius < math.inf:
-        raise ValueError(
-            "radius must lie in about [1.5e-154, 1.3e154], so that its square is a "
-            f"normal float, got {radius:g}"
-        )
     # inner products sum squared coordinates: on the grid their partial sums
     # reach 2*s*r*(R*cosh(w*psi))^2, and the isometry images at |psi| <= 1 up
     # to e^6 times that (five boosts of rapidity <= 0.6); with
@@ -143,27 +139,26 @@ def _cell_spec(sig, radius, psi_start, psi_end, samples, steps, tol, seed,
             f"so that the inner products stay finite; for (s, r) = ({sig.s}, {sig.r}) and "
             f"|psi| up to {psi_reach:g} that caps the radius at {radius_max:.6g}, got {radius:g}"
         )
+    if fault_r_eff:
+        spec = CurveSpec(sig, radius * math.sqrt(sig.r))
+    cfgs = [IntegratorConfig(psi_start, psi_end, k, spec) for k in (steps, *_CONVERGENCE_STEPS)]
     # the bound above assumes every step count the cell integrates is resolved
-    check_resolved(IntegratorConfig(psi_start, psi_end, steps, spec))
-    for k in _CONVERGENCE_STEPS:
-        check_resolved(IntegratorConfig(psi_start, psi_end, k, spec),
-                       f"the convergence fit's {k}-step run does not change with --steps, "
-                       "so the psi range must narrow")
+    check_resolved(cfgs[0])
+    for k, cfg in zip(_CONVERGENCE_STEPS, cfgs[1:]):
+        check_resolved(cfg, f"the convergence fit's {k}-step run does not change with --steps, "
+                            "so the psi range must narrow")
     if radius > flow_max:
         raise flow_error
     check_span(psi_start, psi_end)
-    return CurveSpec(sig, radius * math.sqrt(sig.r)) if fault_r_eff else spec
+    return cfgs
 
 
-def _integrate_cells(specs, psi_start, psi_end, steps) -> list:
-    """Per cell, its flows from point_at(psi_start) at `steps` and at each of
-    `_CONVERGENCE_STEPS`, integrated in one `integrate_batch` loop per step count.
+def _integrate_cells(plans) -> list:
+    """Per cell, its flows from point_at(psi_start) under each config of its
+    plan, integrated in one `integrate_batch` loop per step count.
     """
-    initials = [point_at(psi_start, spec) for spec in specs]
-    runs = [integrate_batch([IntegratorConfig(psi_start, psi_end, k, spec) for spec in specs],
-                            initials)
-            for k in (steps, *_CONVERGENCE_STEPS)]
-    return list(zip(*runs))
+    initials = [point_at(cfg.psi_start, cfg.spec) for cfg, *_ in plans]
+    return list(zip(*(integrate_batch(cfgs, initials) for cfgs in zip(*plans))))
 
 
 def run_cell_checks(
@@ -184,9 +179,11 @@ def run_cell_checks(
     `flows` holds the cell's integrated flows as `run_sweep` batches
     them; left out, the cell integrates its own.
     """
-    spec = _cell_spec(sig, radius, psi_start, psi_end, samples, steps, tol, seed, fault_r_eff)
+    plan = _cell_plan(sig, radius, psi_start, psi_end, samples, steps, tol, seed, fault_r_eff)
     if flows is None:
-        flows = _integrate_cells([spec], psi_start, psi_end, steps)[0]
+        flows = _integrate_cells([plan])[0]
+    cfg, *fit_cfgs = plan
+    spec = cfg.spec
     r2 = radius * radius
     rng = np.random.default_rng([seed, sig.s, sig.r, int(round(radius * 1e6))])
     w = spec.frequency
@@ -213,8 +210,6 @@ def run_cell_checks(
     checks.append(Check("velocity_fd", worst_fd, 1e-8 * max(1.0, r * spec.r_eff)))
 
     # integrated flow against the closed form, plus conservation along it
-    cfg, *fit_cfgs = [IntegratorConfig(psi_start, psi_end, k, spec)
-                      for k in (steps, *_CONVERGENCE_STEPS)]
     num, *fits = flows
     ref = closed_form_trajectory(cfg)
     psi_max = max(abs(psi_start), abs(psi_end))
@@ -253,37 +248,32 @@ def run_cell_checks(
     checks.append(Check("lift_second_derivative", worst_second, 1e-10))
     checks.append(Check("lift_fd", worst_lift_fd, 1e-6))
 
-    # random isometry products: defect, form preservation, quadric images
-    worst_defect = worst_form = worst_image = worst_pair = 0.0
-    for _ in range(_TRANSFORM_TRIALS):
-        m = random_isometry(sig, rng)
-        worst_defect = max(worst_defect, isometry_defect(m, sig))
-        u = rng.uniform(-1.0, 1.0, n)
-        vv = rng.uniform(-1.0, 1.0, n)
-        ip = inner_product(u, vv, sig)
-        err = abs(inner_product(apply(m, u), apply(m, vv), sig) - ip)
-        worst_form = max(worst_form, err / (1.0 + abs(ip)))
-        psi = float(rng.uniform(-1.0, 1.0))
-        q = apply(m, point_at(psi, spec))
-        worst_image = max(worst_image, abs(inner_product(q, q, sig) - r2))
-        qv = apply(m, velocity_at(psi, spec))
-        worst_pair = max(worst_pair, abs(inner_product(q, qv, sig)))
-    checks.append(Check("isometry_defect", worst_defect, 1e-10))
-    checks.append(Check("isometry_form", worst_form, 1e-10))
-    checks.append(Check("isometry_quadric", worst_image, 1e-9 * r2))
-    checks.append(Check("isometry_pair_orthogonality", worst_pair, 1e-10 * r2))
+    # random isometry products: defect, form preservation, quadric images; each
+    # trial draws its map, then a pair of vectors, then a curve parameter
+    draws = [(random_isometry(sig, rng), rng.uniform(-1.0, 1.0, (2, n)), rng.uniform(-1.0, 1.0))
+             for _ in range(_TRANSFORM_TRIALS)]
+    maps, pairs, psis = map(np.array, zip(*draws))
+    ip = inner_product(pairs[:, 0], pairs[:, 1], sig)
+    images = apply(maps, pairs)
+    form_err = (inner_product(images[:, 0], images[:, 1], sig) - ip) / (1.0 + np.abs(ip))
+    curve = np.stack((curve_derivative(spec, psis, 0), curve_derivative(spec, psis, 1)), axis=1)
+    q, qv = np.moveaxis(apply(maps, curve), 1, 0)
+    checks.append(Check("isometry_defect", max(isometry_defect(m, sig) for m in maps), 1e-10))
+    checks.append(Check("isometry_form", _max_abs(form_err), 1e-10))
+    checks.append(Check("isometry_quadric", _max_abs(inner_product(q, q, sig) - r2), 1e-9 * r2))
+    checks.append(Check("isometry_pair_orthogonality", _max_abs(inner_product(q, qv, sig)),
+                        1e-10 * r2))
 
     # for the (1,1) plane a boost acts as a parameter shift on the curve; the
     # rounding error of the shift is relative, so its bound scales with R_eff
     if s == 1 and r == 1:
         shift_psi = np.linspace(psi_start, psi_end, 21)
-        base = curve_derivative(spec, shift_psi, 0)
-        worst_shift = 0.0
-        for a in np.linspace(-1.0, 1.0, 9):
-            got = apply(boost(sig, 0, 1, float(a)), base)
-            want = curve_derivative(spec, shift_psi + a, 0)
-            worst_shift = max(worst_shift, _max_abs(got - want))
-        checks.append(Check("boost_translation", worst_shift, 1e-10 * max(1.0, spec.r_eff)))
+        shifts = np.linspace(-1.0, 1.0, 9)
+        got = apply(np.array([boost(sig, 0, 1, float(a)) for a in shifts]),
+                    curve_derivative(spec, shift_psi, 0))
+        want = curve_derivative(spec, shift_psi + shifts[:, None], 0)
+        checks.append(Check("boost_translation", _max_abs(got - want),
+                            1e-10 * max(1.0, spec.r_eff)))
 
     return CellReport(sig, radius, tuple(checks))
 
@@ -312,13 +302,11 @@ def run_sweep(max_sig: int = 4, radii=(1.0,), **cell):
     if unknown:
         raise TypeError(f"run_cell_checks() got unexpected keyword arguments {unknown}")
     p = {**_CELL_DEFAULTS, **cell}
-    specs = [_cell_spec(sig, radius, p["psi_start"], p["psi_end"], p["samples"], p["steps"],
-                        p["tol"], p["seed"], p["fault_r_eff"])
-             for sig, radius in cells]
+    plans = [_cell_plan(sig, radius, **p) for sig, radius in cells]
     group = max(1, _BATCH_SAMPLES // (p["steps"] + 1))
     reports = []
     for i in range(0, len(cells), group):
-        flows = _integrate_cells(specs[i : i + group], p["psi_start"], p["psi_end"], p["steps"])
+        flows = _integrate_cells(plans[i : i + group])
         reports += [run_cell_checks(sig, radius, **cell, flows=f)
                     for (sig, radius), f in zip(cells[i : i + group], flows)]
     return reports

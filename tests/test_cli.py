@@ -276,6 +276,46 @@ def test_generate_integrated_overflow_is_only_reported(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_generate_closed_form_overflow_is_only_reported(tmp_path, capsys):
+    # the closed form overflows past the float range; numpy's overflow
+    # warnings stay silent here as they do for the integrated flow
+    out = tmp_path / "x.csv"
+    argv = ["generate", "--sig", "1,1", "--radius", "1e100", "--psi-end", "600",
+            "--steps", "10", "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: non-finite coordinates or residuals")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("radius", ["1e160", "1e-200"])
+def test_generate_rejects_radius_with_unrepresentable_square(tmp_path, capsys, radius):
+    # 1e160 was blamed on |psi| although psi is 1, and 1e-200 wrote residuals
+    # of exact zeros, since R^2 underflows
+    out = tmp_path / "x.csv"
+    argv = ["generate", "--sig", "1,1", "--radius", radius, "--psi-end", "1", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: radius must lie in about [1.5e-154, 1.3e154]")
+    assert not out.exists()
+
+
+def test_generate_names_the_residual_overflow(tmp_path, capsys):
+    # at R = 1 the coordinates stay finite up to |psi|*sqrt(s*r) ~ 710, but
+    # <p,p> squares them and overflows near 355
+    out = tmp_path / "x.csv"
+    base = ["generate", "--sig", "1,1", "--steps", "10", "--out", str(out)]
+    assert main([*base, "--psi-end", "360"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite residuals") and "about 355" in err
+    assert "710" not in err
+    assert not out.exists()
+    assert main([*base, "--psi-end", "350"]) == 0
+    assert np.isfinite(read_csv(out)[1]).all()
+
+
 def test_generate_names_the_coarse_step_before_integrating(tmp_path, monkeypatch, capsys):
     # h*sqrt(s*r) = 100.03 is far too coarse for RK4; the curve overflows on
     # this range as well, which no step count mends, so both are named
@@ -540,3 +580,9 @@ def test_benchmark_tracer_sees_every_traced_layer(tmp_path):
     swept = tracer.aggregate(generated, len(tracer))
     assert swept["verify.run_cell_checks"]["calls"] == 4
     assert swept["ode.convergence_order"]["calls"] == 4
+    # and evaluates its isometry and boost groups on whole arrays: two applies
+    # per cell and one for the (1,1) boosts, nine inner products per cell, and
+    # the curve through curve_derivative alone
+    assert swept["transform.apply"]["calls"] <= 9
+    assert swept["geometry.inner_product"]["calls"] <= 36
+    assert swept["geometry.velocity_at"]["calls"] == 0

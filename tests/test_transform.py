@@ -161,6 +161,19 @@ def test_apply_types_and_mismatch():
         apply(m, np.array([0.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
         apply(m, [1.0, 2.0, 3.0])
+    # a stack of maps acts on matching stacks of rows, or on rows they share;
+    # stacked matmul against gemv per map may differ in the last bits only
+    sig = Signature(2, 3)
+    rng = np.random.default_rng(5)
+    maps = np.array([random_isometry(sig, rng) for _ in range(9)])
+    pairs = rng.uniform(-1.0, 1.0, (2, 2, sig.n))
+    np.testing.assert_allclose(apply(maps[:2], pairs), [apply(maps[0], pairs[0]),
+                                                        apply(maps[1], pairs[1])], rtol=1e-14)
+    shared = rng.uniform(-1.0, 1.0, (21, sig.n))
+    np.testing.assert_allclose(apply(maps, shared), [apply(mk, shared) for mk in maps],
+                               rtol=1e-14)
+    with pytest.raises(ValueError):
+        apply(maps, np.ones((21, sig.n + 1)))
 
 
 def test_is_isometry_identity_and_scaling():

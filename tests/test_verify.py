@@ -3,9 +3,11 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 
-from pseudohyp import Signature
+from pseudohyp import (CurveSpec, Signature, apply, boost, curve_derivative, inner_product,
+                       isometry_defect, point_at, random_isometry, velocity_at)
 from pseudohyp import verify
 from pseudohyp.verify import run_cell_checks, run_sweep
 
@@ -125,3 +127,70 @@ def test_radius_cap_names_the_cap_that_binds():
     # at the default range the curve term is the smaller one
     with pytest.raises(ValueError, match=r"inner products stay finite.*at 1\.35335e\+151"):
         run_cell_checks(Signature(1, 1), 1.3e154)
+
+
+def _per_trial_groups(sig, radius, fault_r_eff):
+    """The isometry and boost groups one trial and one rapidity at a time,
+    each check's worst with the rounding the matrix products allow it."""
+    n, r2 = sig.n, radius * radius
+    spec = CurveSpec(sig, radius * math.sqrt(sig.r) if fault_r_eff else radius)
+    rng = np.random.default_rng([verify.DEFAULT_SEED, sig.s, sig.r, int(round(radius * 1e6))])
+    u = 2.0**-53
+    gamma = n * u / (1 - n * u)
+
+    def slack(m, x1, x2, c):
+        # |fl(M x) - M x| <= gamma_n |M||x| componentwise in any summation
+        # order, so two evaluations differ by d <= 2 gamma_n |M||x|; the
+        # products of the images then move by sum(d1|y2| + |y1|d2 + d1 d2),
+        # and Dot2, the subtraction of c and a division round each by at most
+        # u|result| + gamma_n^2 sum|y1 y2| on either side
+        y1, y2 = apply(m, x1), apply(m, x2)
+        d1, d2 = (2 * gamma * (np.abs(m) @ np.abs(x)) for x in (x1, x2))
+        size = np.sum((np.abs(y1) + d1) * (np.abs(y2) + d2)) + abs(c)
+        return np.sum(d1 * np.abs(y2) + np.abs(y1) * d2 + d1 * d2) + 2 * (3 * u + gamma**2) * size
+
+    names = ["isometry_defect", "isometry_form", "isometry_quadric", "isometry_pair_orthogonality"]
+    worst, allow = dict.fromkeys(names, 0.0), dict.fromkeys(names, 0.0)
+    for _ in range(verify._TRANSFORM_TRIALS):
+        m = random_isometry(sig, rng)
+        worst["isometry_defect"] = max(worst["isometry_defect"], isometry_defect(m, sig))
+        a = rng.uniform(-1.0, 1.0, n)
+        b = rng.uniform(-1.0, 1.0, n)
+        ip = inner_product(a, b, sig)
+        err = abs(inner_product(apply(m, a), apply(m, b), sig) - ip)
+        worst["isometry_form"] = max(worst["isometry_form"], err / (1.0 + abs(ip)))
+        allow["isometry_form"] = max(allow["isometry_form"], slack(m, a, b, ip) / (1.0 + abs(ip)))
+        psi = float(rng.uniform(-1.0, 1.0))
+        p, v = point_at(psi, spec), velocity_at(psi, spec)
+        q, qv = apply(m, p), apply(m, v)
+        worst["isometry_quadric"] = max(worst["isometry_quadric"],
+                                        abs(inner_product(q, q, sig) - r2))
+        allow["isometry_quadric"] = max(allow["isometry_quadric"], slack(m, p, p, r2))
+        worst["isometry_pair_orthogonality"] = max(worst["isometry_pair_orthogonality"],
+                                                   abs(inner_product(q, qv, sig)))
+        allow["isometry_pair_orthogonality"] = max(allow["isometry_pair_orthogonality"],
+                                                   slack(m, p, v, 0.0))
+    if sig.s == sig.r == 1:
+        shift_psi = np.linspace(-2.0, 2.0, 21)
+        base = curve_derivative(spec, shift_psi, 0)
+        worst["boost_translation"] = allow["boost_translation"] = 0.0
+        for a in np.linspace(-1.0, 1.0, 9):
+            got = apply(boost(sig, 0, 1, float(a)), base)
+            want = curve_derivative(spec, shift_psi + a, 0)
+            worst["boost_translation"] = max(worst["boost_translation"],
+                                             float(np.max(np.abs(got - want))))
+    return worst, allow
+
+
+@pytest.mark.parametrize("s, r, radius, fault", [
+    (1, 1, 1.0, False), (1, 1, 1e5, False), (2, 3, 2.5, False), (3, 3, 1.0, True),
+    (4, 4, 1.0, False), (6, 6, 1.0, False),
+])
+def test_whole_array_groups_match_the_per_trial_loop(s, r, radius, fault):
+    # the defect and the boosts are the same arithmetic, allowed no change;
+    # the other three checks move only by the rounding of the matrix products
+    sig = Signature(s, r)
+    worst, allow = _per_trial_groups(sig, radius, fault)
+    got = {c.name: c.worst for c in run_cell_checks(sig, radius, fault_r_eff=fault).checks}
+    for name, want in worst.items():
+        assert abs(got[name] - want) <= allow[name], name
