@@ -9,7 +9,7 @@ are (n, n) arrays. It provides:
 - the row-wise signature inner product and the closed-form curve with all
   its derivatives, scalar or over psi arrays (`geometry`)
 - the coupled linear flow the curve solves, integrated with a fixed-step
-  fourth-order scheme, one flow or a batch of them at once, and
+  fourth-order scheme on its four distinct block values, and
   cross-checked against the closed form (`ode`)
 - tangent-bundle dimension accounting and derivative-tower lifts, plain
   arrays of 2^p * n coordinates per psi (`bundle`)
@@ -31,9 +31,7 @@ from .ode import (
     closed_form_trajectory,
     convergence_order,
     integrate,
-    integrate_batch,
     max_deviation,
-    second_order_residual,
 )
 from .bundle import MAX_LIFT_ORDER, bundle_dim, curve_lift
 from .transform import (
@@ -62,11 +60,9 @@ __all__ = [
     "curve_lift",
     "inner_product",
     "integrate",
-    "integrate_batch",
     "isometry_defect",
     "max_deviation",
     "point_at",
     "random_isometry",
-    "second_order_residual",
     "velocity_at",
 ]

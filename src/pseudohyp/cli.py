@@ -150,7 +150,7 @@ def cmd_generate(args) -> int:
             raise
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         flow = (closed_form_trajectory(cfg) if args.mode == "closed_form"
-                else integrate(cfg, point_at(args.psi_start, spec)))
+                else integrate(cfg))
     # raises on non-finite values, so nothing is written before the file exists
     table = _sample_values(cfg, flow)
     head = (spec,) if args.format == "csv" else (spec, args.mode)
@@ -256,10 +256,20 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        # a report small enough to sit in the buffer meets a closed pipe here
+        sys.stdout.flush()
+        return code
     except (_ConfigError, ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader has gone, so there is no one left to tell; what is still
+        # buffered for stdout goes to devnull, or the flush at exit would fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

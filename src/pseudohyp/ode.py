@@ -6,15 +6,17 @@ The system is linear and coordinate-symmetric: every dx_j equals the sum of
 the time-like coordinates and every dt_i equals the sum of the space-like
 ones. Each block of the right-hand side is therefore a single broadcast
 scalar, which keeps integrated blocks bitwise uniform when they start uniform.
-The one RK4 loop steps a batch of flows with any signatures at once, and
-every flow in it comes out as it would alone. A flow, integrated or closed
-form, is a plain (steps + 1, 2n) array whose row k is [point | velocity] at
-cfg.grid()[k], the layout of an order-1 `curve_lift`.
+The curve starts uniform, so the one RK4 loop steps four floats per sample,
+the block values t, x, dt and dx, and repeats each across its block once at
+the end. A flow, integrated or closed form, is a plain (steps + 1, 2n) array
+whose row k is [point | velocity] at cfg.grid()[k], the layout of an order-1
+`curve_lift`.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +27,9 @@ __all__ = [
     "IntegratorConfig",
     "check_resolved",
     "check_span",
-    "integrate_batch",
     "integrate",
     "closed_form_trajectory",
     "max_deviation",
-    "second_order_residual",
     "convergence_order",
 ]
 
@@ -93,104 +93,53 @@ def check_resolved(cfg: IntegratorConfig, remedy: str = "use more --steps") -> N
         )
 
 
-def _columns(sigs) -> list:
-    """Per signature, the columns of its n coordinates in the padded batch state.
+def _repeated_sum(count: int):
+    """v -> the sum of `count` copies of v, added left to right from +0.0.
 
-    A row of the state is [0, t_1..t_s, 0.., 0, x_1..x_r, 0..]: each block
-    follows one zero and is padded with zeros to the widest block of the
-    batch, S time-like and R space-like entries.
+    This is the order in which numpy's `sum` adds a block of fewer than 8
+    entries (at 8 it turns pairwise), kept at every block length; starting
+    from +0.0 turns a block of -0.0 into +0.0.
     """
-    S = max(sig.s for sig in sigs)
-    return [np.r_[1 : 1 + sig.s, S + 2 : S + 2 + sig.r] for sig in sigs]
+    copies = (None,) * count
+
+    def total(v: float) -> float:
+        acc = 0.0
+        for _ in copies:
+            acc += v
+        return acc
+    return total
 
 
-def _flow_rhs(sigs):
-    """rhs(y, out): the flow's right-hand side of padded states y, written into out.
+def integrate(cfg: IntegratorConfig) -> np.ndarray:
+    """Classic four-stage fixed-step integration of the flow from the curve's
+    own start, point_at(cfg.psi_start).
 
-    Each block sum runs left to right from the block's leading zero, the
-    order in which numpy's `sum` adds fewer than 8 entries (at 8 it turns
-    pairwise); the padding zeros at the end then add exact zeros, so a
-    padded row sums as its own batch of one. `rhs` writes only the real
-    coordinates of out, masked when some row is padded, so the zeros of a
-    zero-filled out stay +0.0.
+    The start is uniform and every step keeps it uniform, so the loop steps
+    the four block values t, x, dt and dx as Python floats: dt is the sum of
+    the r space-like coordinates and dx that of the s time-like ones (see
+    `_repeated_sum`). Velocities are recorded from the right-hand side at
+    every sample. Returns the flow, a (steps + 1, 2n) array whose row k is
+    [point | velocity] at cfg.grid()[k]. Deterministic for fixed inputs.
     """
-    S = max(sig.s for sig in sigs)
-    R = max(sig.r for sig in sigs)
-    t_blk, x_blk = slice(0, S + 1), slice(S + 1, None)
-    t_out, x_out = slice(1, S + 1), slice(S + 2, None)
-    accumulate = np.add.accumulate
-    if all(sig.s == S and sig.r == R for sig in sigs):
-        def rhs(y, out):
-            out[:, t_out] = accumulate(y[:, x_blk], axis=1)[:, -1:]
-            out[:, x_out] = accumulate(y[:, t_blk], axis=1)[:, -1:]
-        return rhs
-    t_mask = np.arange(S) < np.array([[sig.s] for sig in sigs])
-    x_mask = np.arange(R) < np.array([[sig.r] for sig in sigs])
-    copyto = np.copyto
-
-    def masked_rhs(y, out):
-        copyto(out[:, t_out], accumulate(y[:, x_blk], axis=1)[:, -1:], where=t_mask)
-        copyto(out[:, x_out], accumulate(y[:, t_blk], axis=1)[:, -1:], where=x_mask)
-    return masked_rhs
-
-
-def integrate_batch(cfgs, initials) -> list:
-    """Classic four-stage fixed-step integration of several flows in one loop.
-
-    `cfgs` may differ in their curve spec but must share psi_start, psi_end
-    and steps; `initials` holds each flow's start point, an (n,) array. The
-    flows are stepped together as the rows of one padded (B, S + R + 2)
-    state (see `_columns`), and each returned flow equals the `integrate`
-    run of its own config bit for bit. Velocities are recorded from the
-    right-hand side at every sample.
-    """
-    cfgs, initials = list(cfgs), list(initials)
-    if not cfgs or len(cfgs) != len(initials):
-        raise ValueError(f"need one initial point per config, got {len(initials)} for {len(cfgs)}")
-    first = cfgs[0]
-    if any((c.psi_start, c.psi_end, c.steps) != (first.psi_start, first.psi_end, first.steps)
-           for c in cfgs):
-        raise ValueError("batched configs must share psi_start, psi_end and steps")
-    sigs = [cfg.spec.sig for cfg in cfgs]
-    columns = _columns(sigs)
-    width = max(sig.s for sig in sigs) + max(sig.r for sig in sigs) + 2
-    samples = first.grid().shape[0]
-    h = first.step
-    rhs = _flow_rhs(sigs)
-    # zero-filled, so the padding and the blocks' leading zeros stay +0.0
-    points = np.zeros((samples, len(sigs), width))
-    velocities = np.zeros_like(points)
-    k2, k3, k4 = np.zeros((3, len(sigs), width))
-    for b, (sig, y) in enumerate(zip(sigs, initials)):
-        y = np.asarray(y, dtype=float)
-        if y.shape != (sig.n,):
-            raise ValueError(
-                f"initial point must have shape ({sig.n},) for signature "
-                f"({sig.s},{sig.r}), got shape {y.shape}"
-            )
-        points[0, b, columns[b]] = y
-    rhs(points[0], velocities[0])
+    s, r = cfg.spec.sig.s, cfg.spec.sig.r
+    t, x = curve_derivative(cfg.spec, cfg.psi_start, 0)[[0, s]].tolist()
+    sum_s, sum_r = _repeated_sum(s), _repeated_sum(r)
+    h = cfg.step
     half, sixth = 0.5 * h, h / 6.0
-    for k in range(samples - 1):
+    dt, dx = sum_r(x), sum_s(t)
+    # one flat buffer of (t, x, dt, dx) per sample
+    buf = array("d", (t, x, dt, dx))
+    extend = buf.extend
+    for _ in range(len(cfg.grid()) - 1):
         # the first stage is the velocity already recorded for this sample
-        y, k1 = points[k], velocities[k]
-        rhs(y + half * k1, k2)
-        rhs(y + half * k2, k3)
-        rhs(y + h * k3, k4)
-        np.add(y, sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=points[k + 1])
-        rhs(points[k + 1], velocities[k + 1])
-    return [np.hstack((points[:, b, cols], velocities[:, b, cols]))
-            for b, cols in enumerate(columns)]
-
-
-def integrate(cfg: IntegratorConfig, initial: np.ndarray) -> np.ndarray:
-    """Classic four-stage fixed-step integration of the flow.
-
-    `initial` is the start point, an (n,) array; this is `integrate_batch`
-    with a batch of one. Returns the flow, a (steps + 1, 2n) array whose row
-    k is [point | velocity] at cfg.grid()[k]. Deterministic for fixed inputs.
-    """
-    return integrate_batch([cfg], [initial])[0]
+        dt2, dx2 = sum_r(x + half * dx), sum_s(t + half * dt)
+        dt3, dx3 = sum_r(x + half * dx2), sum_s(t + half * dt2)
+        dt4, dx4 = sum_r(x + h * dx3), sum_s(t + h * dt3)
+        t += sixth * (dt + 2.0 * dt2 + 2.0 * dt3 + dt4)
+        x += sixth * (dx + 2.0 * dx2 + 2.0 * dx3 + dx4)
+        dt, dx = sum_r(x), sum_s(t)
+        extend((t, x, dt, dx))
+    return np.repeat(np.frombuffer(buf).reshape(-1, 4), (s, r, s, r), axis=1)
 
 
 def closed_form_trajectory(cfg: IntegratorConfig) -> np.ndarray:
@@ -211,23 +160,6 @@ def max_deviation(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError(f"flows have different shapes {a.shape} and {b.shape}")
     return float(np.max(np.abs(a - b), initial=0.0))
-
-
-def second_order_residual(cfg: IntegratorConfig, flow: np.ndarray) -> float:
-    """Worst violation of x'' = s*r*x estimated by central second differences.
-
-    `flow` is sampled on cfg.grid() and needs at least three samples; the
-    stencil is second order, so on closed-form samples the residual is
-    dominated by (h^2 / 12) * (s*r)^2 * max|x|.
-    """
-    m = len(flow)
-    if m < 3:
-        raise ValueError(f"need at least 3 samples, got {m}")
-    h = cfg.step
-    s, n = cfg.spec.sig.s, cfg.spec.sig.n
-    x = flow[:, s:n]
-    xdd = (x[2:] - 2.0 * x[1:-1] + x[:-2]) / (h * h)
-    return float(np.max(np.abs(xdd - s * cfg.spec.sig.r * x[1:-1])))
 
 
 def check_span(psi_start: float, psi_end: float) -> None:

@@ -21,9 +21,9 @@ import numpy as np
 
 from .bundle import bundle_dim, curve_lift
 from .geometry import (DEFAULT_TOL, CurveSpec, Signature, curve_derivative, inner_product,
-                       is_integer, point_at)
+                       is_integer)
 from .ode import (IntegratorConfig, check_resolved, check_span, closed_form_trajectory,
-                  convergence_order, integrate_batch, max_deviation)
+                  convergence_order, integrate, max_deviation)
 from .transform import apply, boost, isometry_defect, random_isometry
 
 __all__ = ["DEFAULT_SEED", "Check", "CellReport", "run_cell_checks", "run_sweep"]
@@ -35,10 +35,6 @@ _LIFT_PSI = np.array([-0.8, 0.3, 0.9])
 _CONVERGENCE_STEPS = (60, 120, 240)
 _TRANSFORM_TRIALS = 24
 _PEAK_MAX = 1e152
-# the sweep integrates its cells in groups of at most this many flow samples
-# (cells times grid points), at about 300 bytes each: memory stays bounded
-# however long --steps is, and up to 131 cells of 2000 steps make one group
-_BATCH_SAMPLES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -153,14 +149,6 @@ def _cell_plan(sig, radius, psi_start, psi_end, samples, steps, tol, seed,
     return cfgs
 
 
-def _integrate_cells(plans) -> list:
-    """Per cell, its flows from point_at(psi_start) under each config of its
-    plan, integrated in one `integrate_batch` loop per step count.
-    """
-    initials = [point_at(cfg.psi_start, cfg.spec) for cfg, *_ in plans]
-    return list(zip(*(integrate_batch(cfgs, initials) for cfgs in zip(*plans))))
-
-
 def run_cell_checks(
     sig: Signature,
     radius: float,
@@ -171,17 +159,9 @@ def run_cell_checks(
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
     fault_r_eff: bool = False,
-    *,
-    flows=None,
 ) -> CellReport:
-    """Run the full battery for one cell and report worst residuals.
-
-    `flows` holds the cell's integrated flows as `run_sweep` batches
-    them; left out, the cell integrates its own.
-    """
+    """Run the full battery for one cell and report worst residuals."""
     plan = _cell_plan(sig, radius, psi_start, psi_end, samples, steps, tol, seed, fault_r_eff)
-    if flows is None:
-        flows = _integrate_cells([plan])[0]
     cfg, *fit_cfgs = plan
     spec = cfg.spec
     r2 = radius * radius
@@ -210,7 +190,7 @@ def run_cell_checks(
     checks.append(Check("velocity_fd", worst_fd, 1e-8 * max(1.0, r * spec.r_eff)))
 
     # integrated flow against the closed form, plus conservation along it
-    num, *fits = flows
+    num, *fits = [integrate(c) for c in plan]
     ref = closed_form_trajectory(cfg)
     psi_max = max(abs(psi_start), abs(psi_end))
     dev_bound = 1e-7 * (1.0 + r * spec.r_eff * math.cosh(psi_max * w))
@@ -280,7 +260,7 @@ def run_cell_checks(
 
 # the cell parameters that have a default, read once from run_cell_checks itself
 _CELL_DEFAULTS = {k: v.default for k, v in inspect.signature(run_cell_checks).parameters.items()
-                  if v.kind is v.POSITIONAL_OR_KEYWORD and v.default is not v.empty}
+                  if v.default is not v.empty}
 
 
 def run_sweep(max_sig: int = 4, radii=(1.0,), **cell):
@@ -288,9 +268,7 @@ def run_sweep(max_sig: int = 4, radii=(1.0,), **cell):
 
     `cell` holds keyword arguments of `run_cell_checks`, passed to every
     cell. Returns one CellReport per (s, r, radius), ordered by (s, r, radius).
-    Every cell is validated before any is integrated, and the cells' flows
-    are integrated together, one RK4 loop per step count for up to
-    `_BATCH_SAMPLES` samples of all cells.
+    Every cell is validated before any is integrated.
     """
     if max_sig < 1:
         raise ValueError(f"max_sig must be at least 1, got {max_sig}")
@@ -302,11 +280,6 @@ def run_sweep(max_sig: int = 4, radii=(1.0,), **cell):
     if unknown:
         raise TypeError(f"run_cell_checks() got unexpected keyword arguments {unknown}")
     p = {**_CELL_DEFAULTS, **cell}
-    plans = [_cell_plan(sig, radius, **p) for sig, radius in cells]
-    group = max(1, _BATCH_SAMPLES // (p["steps"] + 1))
-    reports = []
-    for i in range(0, len(cells), group):
-        flows = _integrate_cells(plans[i : i + group])
-        reports += [run_cell_checks(sig, radius, **cell, flows=f)
-                    for (sig, radius), f in zip(cells[i : i + group], flows)]
-    return reports
+    for sig, radius in cells:
+        _cell_plan(sig, radius, **p)
+    return [run_cell_checks(sig, radius, **cell) for sig, radius in cells]

@@ -21,11 +21,9 @@ from pseudohyp import (
     curve_lift,
     inner_product,
     integrate,
-    integrate_batch,
     max_deviation,
     point_at,
     random_isometry,
-    second_order_residual,
     velocity_at,
 )
 
@@ -113,21 +111,19 @@ def test_criterion_3_velocity_norm():
 
 def test_criterion_4_ode_oracle_equivalence():
     t0 = time.perf_counter()
-    # every flow at one step count is one batch: the 48 deviation runs, then
-    # the 16 slope fits' runs at each of their three counts
+    # the 48 deviation runs, then the 16 slope fits' runs at three counts each
     cfgs = [IntegratorConfig(0.0, 1.5, 2000, CurveSpec(sig, radius))
             for sig in FULL_GRID for radius in RADII]
     worst_ratio = 0.0
-    for cfg, flow in zip(cfgs, integrate_batch(cfgs, [point_at(0.0, c.spec) for c in cfgs])):
+    for cfg in cfgs:
         spec = cfg.spec
-        dev = max_deviation(flow, closed_form_trajectory(cfg))
+        dev = max_deviation(integrate(cfg), closed_form_trajectory(cfg))
         bound = 1e-7 * (1.0 + spec.sig.r * spec.r_eff * math.cosh(1.5 * spec.frequency))
         worst_ratio = max(worst_ratio, dev / bound)
     specs = [CurveSpec(sig, 1.0) for sig in FULL_GRID]
-    fit_cfgs = [[IntegratorConfig(0.0, 1.5, k, spec) for spec in specs] for k in (60, 120, 240)]
-    fits = [integrate_batch(row, [point_at(0.0, spec) for spec in specs]) for row in fit_cfgs]
-    slopes = [convergence_order(run_cfgs, runs)
-              for run_cfgs, runs in zip(zip(*fit_cfgs), zip(*fits))]
+    fit_cfgs = [[IntegratorConfig(0.0, 1.5, k, spec) for k in (60, 120, 240)] for spec in specs]
+    slopes = [convergence_order(run_cfgs, [integrate(c) for c in run_cfgs])
+              for run_cfgs in fit_cfgs]
     elapsed = time.perf_counter() - t0
     slope_ok = all(abs(sl - 4.0) <= 0.3 for sl in slopes)
     ok = worst_ratio <= 1.0 and slope_ok and elapsed < 30.0
@@ -139,7 +135,7 @@ def test_criterion_4_ode_oracle_equivalence():
     assert elapsed < 30.0
 
 
-def test_criterion_5_second_order_reduction():
+def test_criterion_5_second_order_reduction(second_order_residual):
     # restricted to s*r <= 9: the 3-point stencil truncation error is
     # (h^2/12) (s*r)^2 max|x|, which crosses the stated bound at s*r >= 12
     worst_ratio = 0.0
@@ -168,7 +164,7 @@ def test_criterion_6_uniformity():
             spec = CurveSpec(sig, radius)
             for psi_end in (1.5, -1.5):
                 cfg = IntegratorConfig(0.0, psi_end, 300, spec)
-                for flow in (closed_form_trajectory(cfg), integrate(cfg, point_at(0.0, spec))):
+                for flow in (closed_form_trajectory(cfg), integrate(cfg)):
                     ok = ok and blocks_bit_equal(flow[:, : sig.n], sig.s)
                     ok = ok and blocks_bit_equal(flow[:, sig.n :], sig.s)
     report(6, "blocks stay pairwise bit-equal", ok)

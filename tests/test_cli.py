@@ -7,6 +7,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -15,8 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pseudohyp import (CurveSpec, IntegratorConfig, Signature, closed_form_trajectory, integrate,
-                       point_at)
+from pseudohyp import CurveSpec, IntegratorConfig, Signature, closed_form_trajectory, integrate
 from pseudohyp import cli, verify
 from pseudohyp.cli import main
 from pseudohyp.verify import run_sweep
@@ -140,7 +141,7 @@ def trajectory(sig, mode, rows):
     cfg = IntegratorConfig(-1.5, -1.5 if rows == 1 else 2.5, max(rows - 1, 1), spec)
     if mode == "closed_form":
         return cfg, closed_form_trajectory(cfg)
-    return cfg, integrate(cfg, point_at(cfg.psi_start, spec))
+    return cfg, integrate(cfg)
 
 
 @pytest.mark.parametrize("mode", ["closed_form", "integrated"])
@@ -450,7 +451,7 @@ def test_verify_rejects_negative_seed_before_integrating(monkeypatch, capsys):
     def unreachable(*args):
         raise AssertionError("integrated before the seed was validated")
 
-    monkeypatch.setattr(verify, "integrate_batch", unreachable)
+    monkeypatch.setattr(verify, "integrate", unreachable)
     assert main(["verify", "--max-sig", "1", "--seed", "-1"]) == 1
     assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
 
@@ -553,6 +554,24 @@ def test_verify_fault_injection_fails(capsys):
     assert "quadric" in out
 
 
+@pytest.mark.parametrize("max_sig", ["8", "1"], ids=["large", "small"])
+def test_closed_stdout_pipe_ends_quietly(max_sig):
+    # the reader goes away before the report is written, as `head` does once
+    # it has its lines: a report larger than the output buffer meets the
+    # closed pipe while it is printed, a small one when it is flushed
+    read_end, write_end = os.pipe()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.Popen([sys.executable, "-m", "pseudohyp.cli", "verify", "--max-sig", max_sig],
+                            stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    os.close(read_end)
+    _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == 2
+
+
 def test_missing_command_is_config_error(capsys):
     assert main([]) == 1
     assert "error" in capsys.readouterr().err
@@ -586,3 +605,7 @@ def test_benchmark_tracer_sees_every_traced_layer(tmp_path):
     assert swept["transform.apply"]["calls"] <= 9
     assert swept["geometry.inner_product"]["calls"] <= 36
     assert swept["geometry.velocity_at"]["calls"] == 0
+    # and integrates through the one traced RK4 loop, once per config of
+    # each cell's plan: --steps 2000 and the fit's 60, 120 and 240
+    assert swept["ode.integrate"]["calls"] == 16
+    assert swept["ode.integrate"]["units"] == 4 * (2000 + 60 + 120 + 240)

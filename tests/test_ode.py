@@ -14,10 +14,8 @@ from pseudohyp import (
     curve_lift,
     inner_product,
     integrate,
-    integrate_batch,
     max_deviation,
     point_at,
-    second_order_residual,
 )
 
 
@@ -25,26 +23,34 @@ def spec11(radius=1.0):
     return CurveSpec(Signature(1, 1), radius)
 
 
-def rhs(y, sig):
-    # the flow's right-hand side at y: the velocity integrate records first
-    return integrate(IntegratorConfig(0.0, 1.0, 1, CurveSpec(sig, 1.0)), y)[0, sig.n :]
+def rhs(spec, psi):
+    # the flow's right-hand side at point_at(psi): the velocity integrate records first
+    return integrate(IntegratorConfig(psi, psi + 1.0, 1, spec))[0, spec.sig.n :]
 
 
 @pytest.mark.parametrize("radius", (0.5, 1.0, 2.0))
 def test_system_rhs_base_case(radius):
-    v = rhs(np.array([0.0, radius]), Signature(1, 1))
+    # the (1,1) curve starts at (0, R) at psi = 0
+    v = rhs(spec11(radius), 0.0)
     assert v[0] == radius
     assert v[1] == 0.0
 
 
 def test_system_rhs_zero_point():
-    assert np.all(rhs(np.zeros(5), Signature(2, 3)) == 0.0)
+    # the time-like block is zero at psi = 0, so the space-like velocity is
+    # +0.0, also when the block is -0.0
+    spec = CurveSpec(Signature(2, 3), 1.0)
+    for psi in (0.0, -0.0):
+        assert point_at(psi, spec)[:2].tobytes() == np.full(2, psi).tobytes()
+        assert rhs(spec, psi)[2:].tobytes() == np.zeros(3).tobytes()
 
 
 def test_system_rhs_hand_sums():
-    # sum of x-block is 6, sum of t-block is 2
-    v = rhs(np.array([1.0, 1.0, 2.0, 2.0, 2.0]), Signature(2, 3))
-    assert np.array_equal(v, [6.0, 6.0, 2.0, 2.0, 2.0])
+    # each time-like entry of the velocity is the sum of the three space-like
+    # coordinates, and each space-like entry the sum of the two time-like ones
+    spec = CurveSpec(Signature(2, 3), 1.3)
+    t, x = point_at(0.7, spec)[[0, 2]]
+    assert np.array_equal(rhs(spec, 0.7), [x + x + x] * 2 + [t + t] * 3)
 
 
 def test_integrator_config_validation():
@@ -80,24 +86,16 @@ def test_zero_span_single_sample():
     spec = spec11()
     cfg = IntegratorConfig(1.5, 1.5, 1, spec)
     initial = point_at(1.5, spec)
-    flow = integrate(cfg, initial)
+    flow = integrate(cfg)
     assert flow.shape == (1, 4)
     assert np.array_equal(flow[0, :2], initial)
     assert closed_form_trajectory(cfg).shape == (1, 4) and list(cfg.grid()) == [1.5]
 
 
-def test_integrate_signature_mismatch():
-    cfg = IntegratorConfig(0.0, 1.0, 10, spec11())
-    with pytest.raises(ValueError, match="signature"):
-        integrate(cfg, np.array([0.0, 1.0, 1.0]))
-    with pytest.raises(ValueError, match="signature"):
-        integrate(cfg, np.zeros((1, 2)))
-
-
 def test_integrate_base_case_oracle():
     spec = spec11()
     cfg = IntegratorConfig(0.0, 1.0, 1000, spec)
-    flow = integrate(cfg, point_at(0.0, spec))
+    flow = integrate(cfg)
     assert abs(flow[-1, 0] - math.sinh(1.0)) <= 1e-9
     assert abs(flow[-1, 1] - math.cosh(1.0)) <= 1e-9
 
@@ -106,7 +104,7 @@ def test_integrate_one_two_oracle():
     # R_eff = 1, so t_1 = sqrt(2) sinh(sqrt(2) psi) and x_2 = x_3 = cosh(sqrt(2) psi)
     spec = CurveSpec(Signature(1, 2), math.sqrt(2.0))
     cfg = IntegratorConfig(0.0, 1.0, 2000, spec)
-    flow = integrate(cfg, point_at(0.0, spec))
+    flow = integrate(cfg)
     w = math.sqrt(2.0)
     assert abs(flow[-1, 0] - w * math.sinh(w)) <= 1e-8
     assert abs(flow[-1, 1] - math.cosh(w)) <= 1e-8
@@ -152,7 +150,7 @@ def test_flows_are_order_one_lifts():
         want = curve_lift(cfg.spec, cfg.grid(), 1)
         assert closed_form_trajectory(cfg).tobytes() == want.tobytes()
         assert closed_form_trajectory(cfg).shape == want.shape == (14, 2 * cfg.spec.sig.n)
-    flows = integrate_batch(cfgs, [point_at(-0.7, cfg.spec) for cfg in cfgs])
+    flows = [integrate(cfg) for cfg in cfgs]
     assert [flow.shape for flow in flows] == [(14, 2 * cfg.spec.sig.n) for cfg in cfgs]
 
 
@@ -166,7 +164,7 @@ def test_max_deviation_oracle_and_step_halving():
     devs = {}
     for steps in (500, 1000):
         cfg = IntegratorConfig(0.0, 1.0, steps, spec)
-        devs[steps] = max_deviation(integrate(cfg, point_at(0.0, spec)), closed_form_trajectory(cfg))
+        devs[steps] = max_deviation(integrate(cfg), closed_form_trajectory(cfg))
     assert devs[1000] <= 1e-9
     # fourth order: halving the step cuts the deviation about 16x
     assert 12.0 <= devs[500] / devs[1000] <= 20.0
@@ -183,13 +181,13 @@ def test_max_deviation_grid_mismatch():
         max_deviation(a, c)
 
 
-def test_second_order_residual_closed_form():
+def test_second_order_residual_closed_form(second_order_residual):
     cfg = IntegratorConfig(0.0, 1.0, 1000, spec11())
     flow = closed_form_trajectory(cfg)
     assert second_order_residual(cfg, flow) <= 1e-5 * np.max(np.abs(flow[:, 1:2]))
 
 
-def test_second_order_residual_zero_channel():
+def test_second_order_residual_zero_channel(second_order_residual):
     cfg = IntegratorConfig(0.0, 1.0, 10, CurveSpec(Signature(2, 2), 1.0))
     flow = np.zeros((11, 8))
     flow[:, 0] = np.linspace(1.0, 2.0, 11)  # only the x-channel enters
@@ -197,7 +195,7 @@ def test_second_order_residual_zero_channel():
     assert second_order_residual(cfg, flow) == 0.0
 
 
-def test_second_order_residual_exponential_solution():
+def test_second_order_residual_exponential_solution(second_order_residual):
     # x(psi) = exp(sqrt(s*r) psi) solves the reduced equation exactly, so the
     # residual sits at the central-difference truncation floor
     cfg = IntegratorConfig(0.0, 1.0, 1000, CurveSpec(Signature(1, 2), 1.0))
@@ -212,7 +210,7 @@ def test_second_order_residual_exponential_solution():
     assert 0.0 < resid <= 2.0 * model
 
 
-def test_second_order_residual_errors():
+def test_second_order_residual_errors(second_order_residual):
     short = IntegratorConfig(0.0, 1.0, 1, spec11())
     with pytest.raises(ValueError, match="at least 3 samples"):
         second_order_residual(short, closed_form_trajectory(short))
@@ -222,7 +220,7 @@ def test_second_order_residual_errors():
 def test_flow_conserves_quadric_and_orthogonality(sig):
     spec = CurveSpec(sig, 1.0)
     cfg = IntegratorConfig(0.0, 1.5, 2000, spec)
-    flow = integrate(cfg, point_at(0.0, spec))
+    flow = integrate(cfg)
     for row in flow:
         p, v = row[: sig.n], row[sig.n :]
         assert abs(inner_product(p, p, sig) - 1.0) <= 1e-7
@@ -232,7 +230,7 @@ def test_flow_conserves_quadric_and_orthogonality(sig):
 def test_flow_uniformity_bitwise():
     spec = CurveSpec(Signature(3, 2), 1.0)
     cfg = IntegratorConfig(0.0, 1.5, 500, spec)
-    flow = integrate(cfg, point_at(0.0, spec))
+    flow = integrate(cfg)
     s = spec.sig.s
     for arr in (flow[:, :5], flow[:, 5:]):
         assert np.all(arr[:, :s] == arr[:, :1])
@@ -242,7 +240,7 @@ def test_flow_uniformity_bitwise():
 def runs(spec, psi_start, psi_end, step_counts):
     # the configs and integrated runs a slope fit takes, one per step count
     cfgs = [IntegratorConfig(psi_start, psi_end, k, spec) for k in step_counts]
-    return cfgs, [integrate(cfg, point_at(psi_start, spec)) for cfg in cfgs]
+    return cfgs, [integrate(cfg) for cfg in cfgs]
 
 
 def test_convergence_order_estimate():
@@ -285,15 +283,6 @@ def reference_integrate(cfg, initial):
     return points, velocities
 
 
-def starts(spec, psi_start, rng):
-    # the curve's own (uniform) start, one with uniform blocks of other
-    # values, a random one, and the start at psi = -0.0 whose time-like block
-    # is -0.0, which numpy's sum turns into +0.0
-    sig = spec.sig
-    yield point_at(psi_start, spec)
-    yield np.repeat(rng.uniform(-2.0, 2.0, 2), (sig.s, sig.r))
-    yield rng.uniform(-2.0, 2.0, sig.n)
-    yield point_at(-0.0, spec)
 
 
 def bits(flow):
@@ -304,67 +293,84 @@ def bits(flow):
 @pytest.mark.parametrize("s", range(1, 8))
 def test_integrate_matches_the_reference_loop(s):
     # below 8 entries numpy sums a block left to right from 0.0, the order
-    # the batched loop uses at every length, so the two agree bit for bit
-    rng = np.random.default_rng(s)
+    # the four-float loop uses at every length, so the two agree bit for bit;
+    # at psi = -0.0 the time-like block is -0.0, which both sum to +0.0
     for r in range(1, 8):
         spec = CurveSpec(Signature(s, r), 1.3)
-        for psi_start, psi_end in ((-1.0, 0.8), (0.8, -1.0)):
+        for psi_start, psi_end in ((-1.0, 0.8), (0.8, -1.0), (-0.0, 0.8), (-0.0, -1.0)):
             cfg = IntegratorConfig(psi_start, psi_end, 24, spec)
-            for y0 in starts(spec, psi_start, rng):
-                flow = integrate(cfg, y0)
-                points, velocities = reference_integrate(cfg, y0)
-                assert bits(flow) == (points.tobytes(), velocities.tobytes()), (s, r)
-                assert flow.shape == (cfg.grid().shape[0], 2 * spec.sig.n)
+            flow = integrate(cfg)
+            points, velocities = reference_integrate(cfg, point_at(psi_start, spec))
+            assert bits(flow) == (points.tobytes(), velocities.tobytes()), (s, r)
+            assert flow.shape == (cfg.grid().shape[0], 2 * spec.sig.n)
 
 
-BATCH_SIGS = [Signature(s, r) for s in range(1, 5) for r in range(1, 5)] + [Signature(2, 9)]
+def padded_reference(cfg):
+    # the padded-state RK4 loop that stepped every coordinate, with a batch
+    # of one: the state row is [0, t_1..t_s, 0, x_1..x_r], and each block of
+    # the right-hand side sums left to right from the block's leading zero
+    sig = cfg.spec.sig
+    S = sig.s
+    cols = np.r_[1 : 1 + S, S + 2 : S + 2 + sig.r]
+    t_blk, x_blk = slice(0, S + 1), slice(S + 1, None)
+    t_out, x_out = slice(1, S + 1), slice(S + 2, None)
+    accumulate = np.add.accumulate
+
+    def rhs(y, out):
+        out[:, t_out] = accumulate(y[:, x_blk], axis=1)[:, -1:]
+        out[:, x_out] = accumulate(y[:, t_blk], axis=1)[:, -1:]
+
+    samples = cfg.grid().shape[0]
+    h = cfg.step
+    points = np.zeros((samples, 1, sig.n + 2))
+    velocities = np.zeros_like(points)
+    k2, k3, k4 = np.zeros((3, 1, sig.n + 2))
+    points[0, 0, cols] = point_at(cfg.psi_start, cfg.spec)
+    rhs(points[0], velocities[0])
+    half, sixth = 0.5 * h, h / 6.0
+    for k in range(samples - 1):
+        y, k1 = points[k], velocities[k]
+        rhs(y + half * k1, k2)
+        rhs(y + half * k2, k3)
+        rhs(y + h * k3, k4)
+        np.add(y, sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=points[k + 1])
+        rhs(points[k + 1], velocities[k + 1])
+    return np.hstack((points[:, 0, cols], velocities[:, 0, cols]))
 
 
-@pytest.mark.parametrize("psi_start, psi_end", [(-1.2, 0.9), (0.9, -1.2)],
-                         ids=["forward", "reversed"])
-def test_integrate_batch_rows_match_integrate(psi_start, psi_end):
-    rng = np.random.default_rng(7)
-    cfgs, initials = [], []
-    for sig in BATCH_SIGS:
+@pytest.mark.parametrize("s", range(1, 10))
+def test_integrate_matches_the_padded_loop(s):
+    # blocks of 8 and more entries included, where numpy's own sum turns
+    # pairwise; forward, reversed, and from psi = -0.0
+    for r in range(1, 10):
         for radius in (0.5, 2.5):
-            spec = CurveSpec(sig, radius)
-            for y0 in starts(spec, psi_start, rng):
-                cfgs.append(IntegratorConfig(psi_start, psi_end, 60, spec))
-                initials.append(y0)
-    # padded rows, and rows that all share one signature and need no padding
-    for rows in (range(len(cfgs)), [i for i, c in enumerate(cfgs) if c.spec.sig == Signature(2, 9)]):
-        batch = integrate_batch([cfgs[i] for i in rows], [initials[i] for i in rows])
-        assert len(batch) == len(rows)
-        for i, flow in zip(rows, batch):
-            assert flow.shape == (61, 2 * cfgs[i].spec.sig.n)
-            assert bits(flow) == bits(integrate(cfgs[i], initials[i])), cfgs[i].spec
+            spec = CurveSpec(Signature(s, r), radius)
+            for psi_start, psi_end in ((-1.2, 0.9), (0.9, -1.2), (-0.0, 0.9), (-0.0, -1.2)):
+                cfg = IntegratorConfig(psi_start, psi_end, 30, spec)
+                assert bits(integrate(cfg)) == bits(padded_reference(cfg)), (s, r, psi_start)
 
 
-def test_integrate_batch_validation():
-    cfg = IntegratorConfig(0.0, 1.0, 10, spec11())
-    y0 = point_at(0.0, spec11())
-    for other in (IntegratorConfig(0.0, 1.0, 11, spec11()),
-                  IntegratorConfig(0.0, 2.0, 10, spec11())):
-        with pytest.raises(ValueError, match="share"):
-            integrate_batch([cfg, other], [y0, y0])
-    with pytest.raises(ValueError, match="one initial point per config"):
-        integrate_batch([cfg, cfg], [y0])
-    with pytest.raises(ValueError, match="one initial point per config"):
-        integrate_batch([], [])
-    with pytest.raises(ValueError, match="signature"):
-        integrate_batch([cfg, cfg], [y0, np.zeros(3)])
+@pytest.mark.parametrize("s, r", [(8, 8), (1, 9), (9, 2)])
+def test_integrate_matches_the_padded_loop_over_long_runs(s, r):
+    cfg = IntegratorConfig(-2.0, 2.0, 5000, CurveSpec(Signature(s, r), 1.3))
+    assert bits(integrate(cfg)) == bits(padded_reference(cfg))
 
 
 def test_block_sums_run_left_to_right_at_every_length():
     # numpy's sum turns pairwise at 8 entries; the flow sums every block
     # left to right from 0.0, so a block's sum does not depend on its length
     rng = np.random.default_rng(3)
+    pairwise_differs = 0
     for s in range(1, 13):
-        for _ in range(20):
-            y = rng.standard_normal(s + 2) * 10.0 ** rng.integers(-8, 9, s + 2)
-            out = rhs(y, Signature(s, 2))
-            want = 0.0
-            for v in y[:s].tolist():
-                want += v
-            assert out[s:].tobytes() == np.full(2, want).tobytes()
-
+        spec = CurveSpec(Signature(s, 13 - s), 10.0 ** rng.integers(-8, 9))
+        for psi in rng.uniform(-3.0, 3.0, 20).tolist():
+            p = point_at(psi, spec)
+            out = rhs(spec, psi)
+            for block, count, value in ((out[:s], 13 - s, p[s]), (out[s:], s, p[0])):
+                want = 0.0
+                for _ in range(count):
+                    want += value
+                assert block.tobytes() == np.full(block.size, want).tobytes()
+                pairwise_differs += np.full(count, value).sum() != want
+    # the check can tell the two orders apart
+    assert pairwise_differs > 0

@@ -80,8 +80,8 @@ def test_radius_cap_bounds_the_integrated_flow():
 
 @pytest.mark.parametrize("fault", [False, True], ids=["plain", "fault"])
 def test_sweep_equals_one_cell_at_a_time(fault):
-    # the batched flows give every check, worst and bound included, exactly
-    # as a cell that integrates its own
+    # the sweep gives every check, worst and bound included, exactly as the
+    # cells run one at a time
     radii = (1.0, 2.5)
     reports = run_sweep(max_sig=3, radii=radii, fault_r_eff=fault)
     singles = [run_cell_checks(Signature(s, r), radius, fault_r_eff=fault)
@@ -89,28 +89,11 @@ def test_sweep_equals_one_cell_at_a_time(fault):
     assert reports == singles
 
 
-def test_sweep_groups_cells_when_steps_are_long(monkeypatch):
-    calls = []
-    batch = verify.integrate_batch
-
-    def counted(cfgs, initials):
-        calls.append(len(cfgs))
-        return batch(cfgs, initials)
-
-    monkeypatch.setattr(verify, "integrate_batch", counted)
-    whole = run_sweep(max_sig=2, samples=30, steps=400)
-    assert calls == [4] * 4  # one loop per step count for all four cells
-    monkeypatch.setattr(verify, "_BATCH_SAMPLES", 1000)
-    calls.clear()
-    assert run_sweep(max_sig=2, samples=30, steps=400) == whole
-    assert calls == [2] * 8  # 1000 samples hold two cells of 401
-
-
 def test_sweep_validates_every_cell_before_integrating(monkeypatch):
-    def unreachable(cfgs, initials):
+    def unreachable(cfg):
         raise AssertionError("integrated before every cell was validated")
 
-    monkeypatch.setattr(verify, "integrate_batch", unreachable)
+    monkeypatch.setattr(verify, "integrate", unreachable)
     # (1,1) and (1,2) are served, and (2,2) is the first cell whose cap 1e150 exceeds
     with pytest.raises(ValueError, match=r"\(s, r\) = \(2, 2\)"):
         run_sweep(max_sig=2, radii=(1e150,))
