@@ -31,15 +31,11 @@ _FLOAT_FMT = "%.17g"
 _BLOCK_ROWS = 256
 
 
-class _ConfigError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; the contract reserves 2 for
     # I/O problems, so parse errors are rerouted to exit code 1.
     def error(self, message):
-        raise _ConfigError(message)
+        raise ValueError(message)
 
 
 def _parse_sig(text: str) -> Signature:
@@ -260,7 +256,7 @@ def main(argv=None) -> int:
         # a report small enough to sit in the buffer meets a closed pipe here
         sys.stdout.flush()
         return code
-    except (_ConfigError, ValueError, OverflowError, MemoryError) as exc:
+    except (ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

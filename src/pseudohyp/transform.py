@@ -3,8 +3,9 @@ planes, Euclidean rotations in same-sign planes, and their isometry defect.
 
 A map is an n x n array M; it is an isometry of the product when
 M^T eta M = eta, with eta = np.diag(sig.signs) the diagonal sign matrix.
-Boosts and block rotations generate the maps used here; compose them with
-the @ operator, starting from np.eye(n).
+Boosts and block rotations, each the identity with one 2x2 plane block,
+generate the maps used here; compose them with @, starting from np.eye(n).
+`apply` and `isometry_defect` also take a stack of maps (..., n, n).
 """
 
 from __future__ import annotations
@@ -27,6 +28,15 @@ _MAX_GENERATORS = 5
 _MAX_RAPIDITY = 0.6
 
 
+def _plane(n: int, a: int, b: int, c: float, s_ab: float, s_ba: float) -> np.ndarray:
+    # the identity with the block [[c, s_ab], [s_ba, c]] in the plane of axes a and b
+    m = np.eye(n)
+    m[a, a] = m[b, b] = c
+    m[a, b] = s_ab
+    m[b, a] = s_ba
+    return m
+
+
 def boost(sig: Signature, time_axis: int, space_axis: int, rapidity: float) -> np.ndarray:
     """Hyperbolic rotation in the mixed plane (time_axis, space_axis).
 
@@ -42,14 +52,8 @@ def boost(sig: Signature, time_axis: int, space_axis: int, rapidity: float) -> n
         raise ValueError(
             f"space_axis must lie in [{sig.s}, {sig.n}), got {space_axis}"
         )
-    m = np.eye(sig.n)
-    c = math.cosh(rapidity)
     sh = math.sinh(rapidity)
-    m[time_axis, time_axis] = c
-    m[time_axis, space_axis] = sh
-    m[space_axis, time_axis] = sh
-    m[space_axis, space_axis] = c
-    return m
+    return _plane(sig.n, time_axis, space_axis, math.cosh(rapidity), sh, sh)
 
 
 def block_rotation(sig: Signature, axis1: int, axis2: int, angle: float) -> np.ndarray:
@@ -68,14 +72,8 @@ def block_rotation(sig: Signature, axis1: int, axis2: int, angle: float) -> np.n
             f"axes {axis1} and {axis2} lie in different sign blocks; "
             "use a boost for mixed planes"
         )
-    m = np.eye(sig.n)
-    c = math.cos(angle)
     sn = math.sin(angle)
-    m[axis1, axis1] = c
-    m[axis1, axis2] = -sn
-    m[axis2, axis1] = sn
-    m[axis2, axis2] = c
-    return m
+    return _plane(sig.n, axis1, axis2, math.cos(angle), -sn, sn)
 
 
 def apply(m: np.ndarray, x) -> np.ndarray:
@@ -94,15 +92,16 @@ def apply(m: np.ndarray, x) -> np.ndarray:
 
 
 def isometry_defect(m: np.ndarray, sig: Signature) -> float:
-    """Max-norm of M^T eta M - eta; zero for an exact isometry of `sig`."""
+    """Max-norm of M^T eta M - eta over a map (n, n) or a stack (..., n, n),
+    which is the largest of its maps' defects; zero for exact isometries of `sig`."""
     m = np.asarray(m, dtype=float)
-    if m.shape != (sig.n, sig.n):
+    if m.shape[-2:] != (sig.n, sig.n):
         raise ValueError(
-            f"expected a ({sig.n}, {sig.n}) matrix for signature "
+            f"expected a ({sig.n}, {sig.n}) matrix or a stack of them for signature "
             f"({sig.s},{sig.r}), got shape {m.shape}"
         )
     eta = np.diag(sig.signs)
-    return float(np.max(np.abs(m.T @ eta @ m - eta)))
+    return float(np.max(np.abs(np.swapaxes(m, -1, -2) @ eta @ m - eta)))
 
 
 def random_isometry(sig: Signature, rng) -> np.ndarray:

@@ -238,7 +238,7 @@ def run_cell_checks(
     form_err = (inner_product(images[:, 0], images[:, 1], sig) - ip) / (1.0 + np.abs(ip))
     curve = np.stack((curve_derivative(spec, psis, 0), curve_derivative(spec, psis, 1)), axis=1)
     q, qv = np.moveaxis(apply(maps, curve), 1, 0)
-    checks.append(Check("isometry_defect", max(isometry_defect(m, sig) for m in maps), 1e-10))
+    checks.append(Check("isometry_defect", isometry_defect(maps, sig), 1e-10))
     checks.append(Check("isometry_form", _max_abs(form_err), 1e-10))
     checks.append(Check("isometry_quadric", _max_abs(inner_product(q, q, sig) - r2), 1e-9 * r2))
     checks.append(Check("isometry_pair_orthogonality", _max_abs(inner_product(q, qv, sig)),
@@ -272,14 +272,16 @@ def run_sweep(max_sig: int = 4, radii=(1.0,), **cell):
     """
     if max_sig < 1:
         raise ValueError(f"max_sig must be at least 1, got {max_sig}")
-    cells = [(Signature(s, r), float(radius))
-             for s in range(1, max_sig + 1)
-             for r in range(1, max_sig + 1)
-             for radius in radii]
     unknown = sorted(cell.keys() - _CELL_DEFAULTS.keys())
     if unknown:
         raise TypeError(f"run_cell_checks() got unexpected keyword arguments {unknown}")
     p = {**_CELL_DEFAULTS, **cell}
-    for sig, radius in cells:
-        _cell_plan(sig, radius, **p)
+    # each cell is validated as the walk reaches it, before the next is built
+    cells = []
+    for s in range(1, max_sig + 1):
+        for r in range(1, max_sig + 1):
+            sig = Signature(s, r)
+            for radius in map(float, radii):
+                _cell_plan(sig, radius, **p)
+                cells.append((sig, radius))
     return [run_cell_checks(sig, radius, **cell) for sig, radius in cells]

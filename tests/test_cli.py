@@ -603,6 +603,10 @@ def test_benchmark_tracer_sees_every_traced_layer(tmp_path):
     # per cell and one for the (1,1) boosts, nine inner products per cell, and
     # the curve through curve_derivative alone
     assert swept["transform.apply"]["calls"] <= 9
+    # one isometry_defect per cell on its whole stack of maps, while the maps
+    # themselves are still composed from traced generator calls
+    assert swept["transform.isometry_defect"]["calls"] == 4
+    assert swept["transform.boost"]["calls"] + swept["transform.block_rotation"]["calls"] == 306
     assert swept["geometry.inner_product"]["calls"] <= 36
     assert swept["geometry.velocity_at"]["calls"] == 0
     # and integrates through the one traced RK4 loop, once per config of

@@ -74,6 +74,34 @@ def test_boost_index_validation():
         boost(sig, 0, 5, 0.1)
 
 
+def _eye_fill(n, a, b, c, s_ab, s_ba):
+    # the generators' fill before they shared one builder
+    m = np.eye(n)
+    m[a, a] = c
+    m[a, b] = s_ab
+    m[b, a] = s_ba
+    m[b, b] = c
+    return m
+
+
+def test_generators_match_the_identity_fill_bytewise():
+    # angles past pi/2 give cos < 0, and sin(0.0) = 0.0 puts -0.0 in a rotation
+    params = [0.0, -0.0, 0.4, -1.1, 2.0, -2.9, math.pi, 4.5]
+    for sig in (Signature(1, 1), Signature(2, 3), Signature(3, 2), Signature(4, 4)):
+        s, n = sig.s, sig.n
+        for x in params:
+            for i in range(s):
+                for j in range(s, n):
+                    want = _eye_fill(n, i, j, math.cosh(x), math.sinh(x), math.sinh(x))
+                    assert boost(sig, i, j, x).tobytes() == want.tobytes()
+            for lo, hi in ((0, s), (s, n)):
+                for i in range(lo, hi):
+                    for j in range(lo, hi):
+                        if i != j:
+                            want = _eye_fill(n, i, j, math.cos(x), -math.sin(x), math.sin(x))
+                            assert block_rotation(sig, i, j, x).tobytes() == want.tobytes()
+
+
 def test_rotation_zero_angle_is_identity():
     m = block_rotation(Signature(1, 3), 1, 3, 0.0)
     assert np.array_equal(m, np.eye(4))
@@ -191,8 +219,35 @@ def test_is_isometry_generator_products():
             assert isometry_defect(random_isometry(sig, rng), sig) <= 1e-10
 
 
+def test_stacked_defect_is_the_largest_per_map_defect():
+    rng = np.random.default_rng(41)
+    for s in range(1, 9):
+        for r in range(1, 9):
+            sig = Signature(s, r)
+            maps = np.array([random_isometry(sig, rng) for _ in range(6)])
+            maps[2] *= 1.0 + 1e-13  # one map with a defect well above rounding
+            each = [isometry_defect(m, sig) for m in maps]
+            # each map's defect is the same in a stack of one, not only the largest
+            assert [isometry_defect(maps[k : k + 1], sig) for k in range(6)] == each
+            want = max(each)
+            assert isometry_defect(maps, sig) == want
+            assert isometry_defect(maps.reshape(2, 3, sig.n, sig.n), sig) == want
+
+
+def test_stack_of_one_scaled_map_reports_its_defect():
+    sig = Signature(2, 2)
+    scaled = np.diag([2.0, 1.0, 1.0, 1.0])
+    assert isometry_defect(scaled[None], sig) == isometry_defect(scaled, sig) == 3.0
+    stack = np.array([np.eye(sig.n), scaled, np.eye(sig.n)])
+    assert isometry_defect(stack, sig) == 3.0
+
+
 def test_map_validation_and_compose_mismatch():
     with pytest.raises(ValueError, match="signature"):
         isometry_defect(np.eye(3), Signature(1, 1))
     with pytest.raises(ValueError):
         isometry_defect(np.eye(2)[:1], Signature(1, 1))
+    sig = Signature(2, 1)
+    for shape in ((sig.n,), (5, sig.n, sig.n + 1), (5, 4, 4), ()):
+        with pytest.raises(ValueError, match=r"signature \(2,1\)"):
+            isometry_defect(np.zeros(shape), sig)

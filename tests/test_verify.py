@@ -101,6 +101,26 @@ def test_sweep_validates_every_cell_before_integrating(monkeypatch):
         run_sweep(max_sig=1, stepz=10)
 
 
+def test_sweep_stops_at_the_first_unservable_cell(monkeypatch):
+    # at the default psi range the fit's 60-step run cannot resolve s*r >= 1746,
+    # so (1, 1746) is the 1746th cell walked and the first that fails; the
+    # rest of the 1746^2 grid must not be built
+    built = []
+
+    class Counted(Signature):
+        def __init__(self, s, r):
+            built.append((s, r))
+            if len(built) > 5000:
+                raise AssertionError("built the grid past its first unservable cell")
+            super().__init__(s, r)
+
+    monkeypatch.setattr(verify, "Signature", Counted)
+    with pytest.raises(ValueError, match=r"h\*sqrt\(s\*r\) = 2\.78568"):
+        run_sweep(max_sig=1746)
+    assert len(built) == 1746
+    assert built[-1] == (1, 1746)
+
+
 def test_radius_cap_names_the_cap_that_binds():
     # over [-30, 5] the flow term caps (1,1) at 2.66e136 and the curve term at
     # 9.36e138; a radius above both is told the smaller cap
