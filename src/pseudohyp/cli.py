@@ -12,6 +12,7 @@ import csv
 import json
 import os
 import sys
+from operator import itemgetter
 
 import numpy as np
 
@@ -63,18 +64,24 @@ def _columns(sig: Signature):
 
 
 def _sample_values(cfg: IntegratorConfig, flow: np.ndarray) -> np.ndarray:
-    """The output table of a flow on cfg.grid(), one row per sample in the
-    column order of `_columns`.
+    """The output table of a flow on cfg.grid(), one row per sample: psi, the
+    block values t, x, dt and dx, form_residual and ortho_residual.
 
     Raises ValueError when a value is not finite, naming the limit hit: the
     residuals square the coordinates, so they overflow the float range first.
+    So does a flow whose blocks are not bitwise uniform.
     """
     sig, radius = cfg.spec.sig, cfg.spec.radius
-    p = flow[:, : sig.n]
+    s, r, n = sig.s, sig.r, sig.n
+    p = flow[:, :n]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         form = inner_product(p, p, sig) - radius * radius
-        ortho = inner_product(p, flow[:, sig.n :], sig)
-    table = np.column_stack((cfg.grid(), flow, form, ortho))
+        ortho = inner_product(p, flow[:, n:], sig)
+    table = np.column_stack((cfg.grid(), flow[:, [0, s, n, n + s]], form, ortho))
+    # compared as bits, so that a -0.0 beside a +0.0, which print apart, differ too
+    bits = np.repeat(table[:, 1:5], (s, r, s, r), axis=1).view(np.int64)
+    if not (bits == flow.view(np.int64)).all():
+        raise ValueError("the flow's time-like and space-like blocks are not bitwise uniform")
     if not np.isfinite(table).all():
         raise ValueError(
             "non-finite coordinates or residuals: the curve overflows once "
@@ -86,25 +93,42 @@ def _sample_values(cfg: IntegratorConfig, flow: np.ndarray) -> np.ndarray:
     return table
 
 
+def _write_rows(sig: Signature, table: np.ndarray, fmt: str, row: str, sep: str, stream) -> None:
+    # Three C calls per block of `_BLOCK_ROWS` rows: one `%` formats its distinct
+    # values (no float's text holds a newline), one itemgetter spreads their text
+    # over the columns, and one `%` fills `row`, a %s per column, once per row.
+    cols = np.repeat(np.arange(7), (1, sig.s, sig.r, sig.s, sig.r, 1, 1)).tolist()
+    plans = {}  # per block length, so at most two
+    for i in range(0, len(table), _BLOCK_ROWS):
+        block = table[i : i + _BLOCK_ROWS]
+        k = len(block)
+        if k not in plans:
+            plans[k] = ("\n".join([fmt] * 7 * k), sep.join([row] * k),
+                        itemgetter(*[7 * j + c for j in range(k) for c in cols]))
+        values, template, spread = plans[k]
+        strings = (values % tuple(block.ravel().tolist())).split("\n")
+        stream.write((sep if i else "") + template % spread(strings))
+
+
 def write_csv(spec: CurveSpec, table: np.ndarray, stream) -> None:
     """Write a `_sample_values` table of the curve `spec` as CSV, one row per sample.
 
-    The bytes are those of `csv.writer` with every value formatted by
-    `_FLOAT_FMT`: no formatted number needs quoting, and lines end in CRLF.
+    The bytes are those of `csv.writer` with each block value repeated over
+    the `_columns` of its block and formatted once by `_FLOAT_FMT`: no
+    formatted number needs quoting, and lines end in CRLF.
     """
-    csv.writer(stream).writerow(_columns(spec.sig))
-    line = ",".join([_FLOAT_FMT] * table.shape[1]) + "\r\n"
-    for i in range(0, len(table), _BLOCK_ROWS):
-        stream.write("".join([line % tuple(row) for row in table[i : i + _BLOCK_ROWS].tolist()]))
+    header = _columns(spec.sig)
+    csv.writer(stream).writerow(header)
+    _write_rows(spec.sig, table, _FLOAT_FMT, ",".join(["%s"] * len(header)) + "\r\n", "", stream)
 
 
 def _json_sample(sig: Signature) -> str:
-    # one entry of "samples" as json.dump(indent=2) lays it out, a %r per value
+    # one entry of "samples" as json.dump(indent=2) lays it out, a %s per value
     def array(name, k):
-        return f'      "{name}": [\n' + ",\n".join(["        %r"] * k) + "\n      ]"
+        return f'      "{name}": [\n' + ",\n".join(["        %s"] * k) + "\n      ]"
 
-    fields = ['      "psi": %r', array("t", sig.s), array("x", sig.r), array("dt", sig.s),
-              array("dx", sig.r), '      "form_residual": %r', '      "ortho_residual": %r']
+    fields = ['      "psi": %s', array("t", sig.s), array("x", sig.r), array("dt", sig.s),
+              array("dx", sig.r), '      "form_residual": %s', '      "ortho_residual": %s']
     return "\n    {\n" + ",\n".join(fields) + "\n    }"
 
 
@@ -114,19 +138,16 @@ def write_json(spec: CurveSpec, mode: str, table: np.ndarray, stream) -> None:
 
     The bytes are those of `json.dump(doc, stream, indent=2)` followed by a
     newline, where doc holds s, r, radius, mode (the `--mode` the table was
-    made in) and one dict per sample
-    (psi, t, x, dt, dx, form_residual, ortho_residual). Each float goes
-    through `%r`: `json` writes a float as its repr, except for NaN and
-    infinities, which `_sample_values` has already rejected. The table has
-    at least one row, since every psi grid has a sample.
+    made in) and one dict per sample (psi, t, x, dt, dx, form_residual,
+    ortho_residual), its lists repeating a block value s or r times. Each
+    value goes through `%r` once: `json` writes a float as its repr, except
+    for NaN and infinities, which `_sample_values` has already rejected. The
+    table has at least one row, since every psi grid has a sample.
     """
     sig = spec.sig
     stream.write('{\n  "s": %d,\n  "r": %d,\n  "radius": %r,\n  "mode": %s,\n  "samples": ['
                  % (sig.s, sig.r, spec.radius, json.dumps(mode)))
-    sample = _json_sample(sig)
-    for i in range(0, len(table), _BLOCK_ROWS):
-        rows = table[i : i + _BLOCK_ROWS].tolist()
-        stream.write(("," if i else "") + ",".join([sample % tuple(row) for row in rows]))
+    _write_rows(sig, table, "%r", _json_sample(sig), ",", stream)
     stream.write("\n  ]\n}\n")
 
 

@@ -78,10 +78,10 @@ class CellReport:
 
 
 def _block_spread(arr: np.ndarray, s: int) -> float:
-    # 0.0 exactly when each block is bitwise uniform
-    spread_t = float(np.max(np.abs(arr[..., :s] - arr[..., :1])))
-    spread_x = float(np.max(np.abs(arr[..., s:] - arr[..., s : s + 1])))
-    return max(spread_t, spread_x)
+    # 0.0 exactly when each block is bitwise uniform: -0.0 beside +0.0 differ
+    # by 0.0 yet print apart, so a difference in sign alone reads 1.0
+    heads = np.repeat(arr[..., [0, s]], (s, arr.shape[-1] - s), axis=-1)
+    return _max_abs(arr - heads) or float(np.any(np.signbit(arr) != np.signbit(heads)))
 
 
 def _max_abs(arr: np.ndarray) -> float:

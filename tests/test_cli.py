@@ -76,11 +76,17 @@ def test_generate_json_roundtrip_bitexact(tmp_path):
         assert np.array_equal(sample["dt"] + sample["dx"], flow[k, 3:])
 
 
+def expanded(sig, table):
+    """A `_sample_values` table with each block value repeated over its
+    block: one column per entry of `_columns`."""
+    return np.repeat(table, (1, sig.s, sig.r, sig.s, sig.r, 1, 1), axis=1)
+
+
 def reference_csv(spec, table, stream):
     # the writer as csv.writer, one formatted value at a time
     writer = csv.writer(stream)
     writer.writerow(cli._columns(spec.sig))
-    for row in table:
+    for row in expanded(spec.sig, table):
         writer.writerow(format(v, ".17g") for v in row.tolist())
 
 
@@ -88,7 +94,7 @@ def reference_json(spec, mode, table, stream):
     # the writer as json.dump of one dict per sample
     sig = spec.sig
     samples = []
-    for row in table:
+    for row in expanded(sig, table):
         vals = row.tolist()
         samples.append(
             {
@@ -145,29 +151,69 @@ def trajectory(sig, mode, rows):
 
 
 @pytest.mark.parametrize("mode", ["closed_form", "integrated"])
-@pytest.mark.parametrize("sig", [(1, 1), (2, 3), (3, 1), (4, 4)])
+@pytest.mark.parametrize("sig", [(1, 1), (2, 3), (3, 1), (4, 4), (1, 9), (8, 8)])
 def test_writers_match_reference_writers(sig, mode):
     block = cli._BLOCK_ROWS
     for rows in (1, block - 1, block, block + 1, 2 * block + 1):
         cfg, flow = trajectory(sig, mode, rows)
         table = cli._sample_values(cfg, flow)
-        assert len(table) == rows
+        assert table.shape == (rows, 7)
+        # the table keeps each block value once, and the flow's bits
+        assert expanded(cfg.spec.sig, table)[:, 1:-2].tobytes() == flow.tobytes()
         for fmt, (writer, reference) in WRITERS.items():
             text = written(writer, head(fmt, cfg, mode), table)
             assert text == written(reference, head(fmt, cfg, mode), table), (fmt, rows)
-            assert parsed(fmt, text).tobytes() == table.tobytes(), (fmt, rows)
+            want = expanded(cfg.spec.sig, table).tobytes()
+            assert parsed(fmt, text).tobytes() == want, (fmt, rows)
 
 
 def test_writers_match_reference_on_hand_made_values():
     # signed zero, the smallest subnormal, extremes, and values whose shortest
-    # repr and 17-digit forms differ; seven values fill one (1,1) row
+    # repr and 17-digit forms differ; seven values fill one table row, and at
+    # (2,3) each block value lands in two or three columns
     values = [-0.0, 5e-324, 1e300, -1e-300, 0.1, 1e16, 123456789012345680.0]
     table = np.array([np.roll(values, k) for k in range(len(values))])
-    cfg, _ = trajectory((1, 1), "closed_form", len(values))
-    for fmt, (writer, reference) in WRITERS.items():
-        text = written(writer, head(fmt, cfg, "closed_form"), table)
-        assert text == written(reference, head(fmt, cfg, "closed_form"), table), fmt
-        assert parsed(fmt, text).tobytes() == table.tobytes(), fmt
+    for sig in ((1, 1), (2, 3)):
+        cfg, _ = trajectory(sig, "closed_form", len(values))
+        for fmt, (writer, reference) in WRITERS.items():
+            text = written(writer, head(fmt, cfg, "closed_form"), table)
+            assert text == written(reference, head(fmt, cfg, "closed_form"), table), (sig, fmt)
+            want = expanded(cfg.spec.sig, table).tobytes()
+            assert parsed(fmt, text).tobytes() == want, (sig, fmt)
+
+
+def skewed(flow, fault):
+    """The flow with one block entry made to differ from its block: by one
+    ulp, or as a -0.0 beside the block's +0.0, which compares equal to it."""
+    n = flow.shape[1] // 2
+    row = int(np.flatnonzero(flow[:, 0] == 0.0)[0]) if fault == "signed-zero" else -1
+    col = 1 if fault == "signed-zero" else n + 3  # at (2,3) the t block, or the dx block
+    flow[row, col] = -0.0 if fault == "signed-zero" else np.nextafter(flow[row, col], np.inf)
+    assert (flow[row, col] == flow[row, col - 1]) == (fault == "signed-zero")
+    return flow
+
+
+@pytest.mark.parametrize("fault", ["ulp", "signed-zero"])
+def test_sample_values_rejects_a_block_that_is_not_bitwise_uniform(fault):
+    # the table keeps one value per block, so a differing entry would be lost
+    cfg, flow = trajectory((2, 3), "closed_form", 9)
+    assert 0.0 in cfg.grid()
+    with pytest.raises(ValueError, match="blocks are not bitwise uniform"):
+        cli._sample_values(cfg, skewed(flow, fault))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("fault", ["ulp", "signed-zero"])
+def test_generate_rejects_a_flow_that_is_not_bitwise_uniform(tmp_path, monkeypatch, capsys,
+                                                             fault, fmt):
+    closed_form = cli.closed_form_trajectory
+    monkeypatch.setattr(cli, "closed_form_trajectory", lambda cfg: skewed(closed_form(cfg), fault))
+    out = tmp_path / f"traj.{fmt}"
+    assert main(["generate", "--sig", "2,3", "--steps", "8", "--format", fmt,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: the flow's time-like and space-like blocks are not bitwise uniform\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 class RecordingStream:

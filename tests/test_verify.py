@@ -121,6 +121,16 @@ def test_sweep_stops_at_the_first_unservable_cell(monkeypatch):
     assert built[-1] == (1, 1746)
 
 
+def test_block_spread_counts_a_difference_in_sign_alone():
+    # -0.0 and +0.0 differ by 0.0, yet repr writes them apart
+    spread = verify._block_spread
+    assert spread(np.array([[-0.0, 0.0, 1.0, 1.0]]), 2) == 1.0
+    assert spread(np.array([[[1.0, 1.0, 0.0, -0.0, 0.0]]]), 2) == 1.0
+    assert spread(np.array([[-0.0, -0.0, 0.0, 0.0], [2.0, 2.0, 3.0, 3.0]]), 2) == 0.0
+    # a spread of values reads as before, signs differing or not
+    assert spread(np.array([[2.0, 1.5, -3.0, 3.0]]), 2) == 6.0
+
+
 def test_radius_cap_names_the_cap_that_binds():
     # over [-30, 5] the flow term caps (1,1) at 2.66e136 and the curve term at
     # 9.36e138; a radius above both is told the smaller cap
