@@ -158,6 +158,35 @@ def inner_product(u, v, sig: Signature):
     return float(res) if np.ndim(res) == 0 else res
 
 
+def _tower(spec: CurveSpec, psi, orders) -> list[np.ndarray]:
+    """The derivatives of the listed orders at psi, each as `curve_derivative`
+    gives it, from one sinh and one cosh per sample."""
+    if min(orders) < 0:
+        raise ValueError(f"derivative order must be non-negative, got {min(orders)}")
+    sig, w = spec.sig, spec.frequency
+    arg = w * np.asarray(psi, dtype=float)
+    flat = arg.ravel().tolist()
+    try:
+        sinh = np.fromiter(map(math.sinh, flat), float, len(flat))
+        cosh = np.fromiter(map(math.cosh, flat), float, len(flat))
+    except OverflowError as exc:
+        raise OverflowError(
+            "the curve overflows once |psi|*sqrt(s*r) exceeds about 710, "
+            f"got {np.nanmax(np.abs(arg)):g}"
+        ) from exc
+    tower = []
+    for m in orders:
+        power = (sig.s * sig.r) ** (m // 2)
+        if m % 2 == 0:
+            blocks = (math.sqrt(sig.r / sig.s) * spec.r_eff * power * sinh,
+                      spec.r_eff * power * cosh)
+        else:
+            blocks = (sig.r * spec.r_eff * power * cosh, w * spec.r_eff * power * sinh)
+        rows = np.repeat(np.stack(blocks, axis=-1), (sig.s, sig.r), axis=-1)
+        tower.append(rows.reshape(arg.shape + (sig.n,)))
+    return tower
+
+
 def curve_derivative(spec: CurveSpec, psi, m: int) -> np.ndarray:
     """m-th parameter derivative of the uniform curve at psi.
 
@@ -170,31 +199,7 @@ def curve_derivative(spec: CurveSpec, psi, m: int) -> np.ndarray:
     math.sinh/cosh keep every row equal to the scalar formula, and raise
     OverflowError once |w*psi| exceeds about 710.
     """
-    if m < 0:
-        raise ValueError(f"derivative order must be non-negative, got {m}")
-    sig = spec.sig
-    w = spec.frequency
-    power = (sig.s * sig.r) ** (m // 2)
-    if m % 2 == 0:
-        t_amp = math.sqrt(sig.r / sig.s) * spec.r_eff * power
-        x_amp = spec.r_eff * power
-        t_fn, x_fn = math.sinh, math.cosh
-    else:
-        t_amp = sig.r * spec.r_eff * power
-        x_amp = w * spec.r_eff * power
-        t_fn, x_fn = math.cosh, math.sinh
-    arg = w * np.asarray(psi, dtype=float)
-    flat = arg.ravel().tolist()
-    out = np.empty((len(flat), sig.n))
-    try:
-        out[:, : sig.s] = (t_amp * np.fromiter(map(t_fn, flat), float, len(flat)))[:, None]
-        out[:, sig.s :] = (x_amp * np.fromiter(map(x_fn, flat), float, len(flat)))[:, None]
-    except OverflowError as exc:
-        raise OverflowError(
-            "the curve overflows once |psi|*sqrt(s*r) exceeds about 710, "
-            f"got {np.nanmax(np.abs(arg)):g}"
-        ) from exc
-    return out.reshape(arg.shape + (sig.n,))
+    return _tower(spec, psi, (m,))[0]
 
 
 def point_at(psi: float, spec: CurveSpec) -> np.ndarray:

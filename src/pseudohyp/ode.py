@@ -3,14 +3,14 @@ classic Runge-Kutta integrator for it, and residual checks that cross-validate
 the numeric flow against the closed form.
 
 The system is linear and coordinate-symmetric: every dx_j equals the sum of
-the time-like coordinates and every dt_i equals the sum of the space-like
-ones. Each block of the right-hand side is therefore a single broadcast
-scalar, which keeps integrated blocks bitwise uniform when they start uniform.
-The curve starts uniform, so the one RK4 loop steps four floats per sample,
-the block values t, x, dt and dx, and repeats each across its block once at
-the end. A flow, integrated or closed form, is a plain (steps + 1, 2n) array
-whose row k is [point | velocity] at cfg.grid()[k], the layout of an order-1
-`curve_lift`.
+the s time-like coordinates and every dt_i equals the sum of the r space-like
+ones. On a uniform state each block sum is a count times one value, t' = r*x
+and x' = s*t, which keeps integrated blocks bitwise uniform when they start
+uniform. The curve starts uniform, so the one RK4 loop steps four floats per
+sample, the block values t, x, dt and dx, and repeats each across its block
+once at the end. A flow, integrated or closed form, is a plain (steps + 1, 2n)
+array whose row k is [point | velocity] at cfg.grid()[k], the layout of an
+order-1 `curve_lift`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CurveSpec, curve_derivative, is_integer
+from .geometry import CurveSpec, _tower, curve_derivative, is_integer
 
 __all__ = [
     "IntegratorConfig",
@@ -93,53 +93,45 @@ def check_resolved(cfg: IntegratorConfig, remedy: str = "use more --steps") -> N
         )
 
 
-def _repeated_sum(count: int):
-    """v -> the sum of `count` copies of v, added left to right from +0.0.
-
-    This is the order in which numpy's `sum` adds a block of fewer than 8
-    entries (at 8 it turns pairwise), kept at every block length; starting
-    from +0.0 turns a block of -0.0 into +0.0.
-    """
-    copies = (None,) * count
-
-    def total(v: float) -> float:
-        acc = 0.0
-        for _ in copies:
-            acc += v
-        return acc
-    return total
-
-
 def integrate(cfg: IntegratorConfig) -> np.ndarray:
     """Classic four-stage fixed-step integration of the flow from the curve's
     own start, point_at(cfg.psi_start).
 
     The start is uniform and every step keeps it uniform, so the loop steps
-    the four block values t, x, dt and dx as Python floats: dt is the sum of
-    the r space-like coordinates and dx that of the s time-like ones (see
-    `_repeated_sum`). Velocities are recorded from the right-hand side at
-    every sample. Returns the flow, a (steps + 1, 2n) array whose row k is
-    [point | velocity] at cfg.grid()[k]. Deterministic for fixed inputs.
+    the four block values t, x, dt and dx as Python floats. Each block sum is
+    the product count * value, dt = r*x and dx = s*t: the correctly rounded
+    sum of the block, equal to math.fsum of its copies, and for blocks of up
+    to 3 entries equal to their left-to-right sum as well. Velocities are
+    recorded from the right-hand side at every sample. Returns the flow, a
+    (steps + 1, 2n) array whose row k is [point | velocity] at cfg.grid()[k].
+    Deterministic for fixed inputs.
     """
     s, r = cfg.spec.sig.s, cfg.spec.sig.r
+    # a zero-length interval has the one sample psi_start (see `grid`); the
+    # flow is allocated first, so one too large to hold fails before the loop
+    steps = cfg.steps if cfg.psi_end != cfg.psi_start else 0
+    flow = np.empty((steps + 1, 2 * (s + r)))
     t, x = curve_derivative(cfg.spec, cfg.psi_start, 0)[[0, s]].tolist()
-    sum_s, sum_r = _repeated_sum(s), _repeated_sum(r)
+    cs, cr = float(s), float(r)
     h = cfg.step
     half, sixth = 0.5 * h, h / 6.0
-    dt, dx = sum_r(x), sum_s(t)
+    # t is -0.0 from a psi_start of -0.0 (and stays so if the step underflows
+    # to -0.0), where a sum of its block is +0.0; x stays positive
+    dt, dx = cr * x, cs * t + 0.0
     # one flat buffer of (t, x, dt, dx) per sample
     buf = array("d", (t, x, dt, dx))
     extend = buf.extend
-    for _ in range(len(cfg.grid()) - 1):
+    for _ in range(steps):
         # the first stage is the velocity already recorded for this sample
-        dt2, dx2 = sum_r(x + half * dx), sum_s(t + half * dt)
-        dt3, dx3 = sum_r(x + half * dx2), sum_s(t + half * dt2)
-        dt4, dx4 = sum_r(x + h * dx3), sum_s(t + h * dt3)
+        dt2, dx2 = cr * (x + half * dx), cs * (t + half * dt)
+        dt3, dx3 = cr * (x + half * dx2), cs * (t + half * dt2)
+        dt4, dx4 = cr * (x + h * dx3), cs * (t + h * dt3)
         t += sixth * (dt + 2.0 * dt2 + 2.0 * dt3 + dt4)
         x += sixth * (dx + 2.0 * dx2 + 2.0 * dx3 + dx4)
-        dt, dx = sum_r(x), sum_s(t)
+        dt, dx = cr * x, cs * t + 0.0
         extend((t, x, dt, dx))
-    return np.repeat(np.frombuffer(buf).reshape(-1, 4), (s, r, s, r), axis=1)
+    blocks = np.repeat(np.arange(4), (s, r, s, r))
+    return np.take(np.frombuffer(buf).reshape(-1, 4), blocks, axis=1, out=flow)
 
 
 def closed_form_trajectory(cfg: IntegratorConfig) -> np.ndarray:
@@ -148,8 +140,7 @@ def closed_form_trajectory(cfg: IntegratorConfig) -> np.ndarray:
     Laid out as `integrate`'s flow: row k is [point_at | velocity_at] at
     cfg.grid()[k], bit for bit.
     """
-    grid = cfg.grid()
-    return np.hstack((curve_derivative(cfg.spec, grid, 0), curve_derivative(cfg.spec, grid, 1)))
+    return np.hstack(_tower(cfg.spec, cfg.grid(), (0, 1)))
 
 
 def max_deviation(a: np.ndarray, b: np.ndarray) -> float:

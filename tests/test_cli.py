@@ -468,6 +468,18 @@ def test_verify_small_grid_passes(capsys):
     assert len(table_rows) == 4
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("verify_default.txt", []),
+    ("verify_max_sig_2_seed_1.txt", ["--max-sig", "2", "--seed", "1"]),
+])
+def test_verify_prints_the_recorded_report(capsys, name, argv):
+    # the report as the code printed it before the RK4 block sums became
+    # products; a change that only makes the sweep faster leaves it byte for byte
+    want = (Path(__file__).parent / "data" / name).read_bytes()
+    assert main(["verify", *argv]) == 0
+    assert capsys.readouterr().out.encode() == want
+
+
 def test_verify_defaults_are_the_library_defaults(monkeypatch, capsys):
     swept = []
 
@@ -580,7 +592,8 @@ def test_verify_reports_the_first_cell_error(capsys, argv, message):
 @pytest.mark.parametrize("command", [["generate", "--sig", "1,1", "--out", "traj.csv"],
                                      ["verify", "--max-sig", "1"]])
 def test_unallocatable_steps_is_config_error(tmp_path, monkeypatch, capsys, command):
-    # numpy refuses the 7.11 PiB grid at once, so nothing is allocated
+    # numpy refuses the petabytes of the grid or the flow at once, so nothing
+    # is allocated
     monkeypatch.chdir(tmp_path)
     assert main([*command, "--steps", "1000000000000000"]) == 1
     err = capsys.readouterr().err
