@@ -366,28 +366,20 @@ def padded_reference(cfg):
 @pytest.mark.parametrize("s", range(1, 10))
 def test_integrate_matches_the_padded_loop(s):
     # bit for bit where every block has up to 3 entries, and within rounding
-    # beyond; forward, reversed, and from psi = -0.0
+    # beyond; bit for bit with the fsum loop at every length, blocks of 8 and
+    # more included, where numpy's own sum turns pairwise; forward, reversed,
+    # and from psi = -0.0
     for r in range(1, 10):
         for radius in (0.5, 2.5):
             spec = CurveSpec(Signature(s, r), radius)
             for psi_start, psi_end in ((-1.2, 0.9), (0.9, -1.2), (-0.0, 0.9), (-0.0, -1.2)):
                 cfg = IntegratorConfig(psi_start, psi_end, 30, spec)
+                flow, padded = integrate(cfg), padded_reference(cfg)
                 if max(s, r) <= 3:
-                    assert bits(integrate(cfg)) == bits(padded_reference(cfg)), (s, r, psi_start)
+                    assert bits(flow) == bits(padded), (s, r, psi_start)
                 else:
-                    assert_rounding_close(cfg, integrate(cfg), padded_reference(cfg))
-
-
-@pytest.mark.parametrize("s", range(1, 10))
-def test_integrate_matches_the_fsum_loop(s):
-    # bit for bit at every block length 1..9, blocks of 8 and more included,
-    # where numpy's own sum turns pairwise; forward, reversed, from psi = -0.0
-    for r in range(1, 10):
-        for radius in (0.5, 2.5):
-            spec = CurveSpec(Signature(s, r), radius)
-            for psi_start, psi_end in ((-1.2, 0.9), (0.9, -1.2), (-0.0, 0.9), (-0.0, -1.2)):
-                cfg = IntegratorConfig(psi_start, psi_end, 30, spec)
-                assert bits(integrate(cfg)) == bits(fsum_reference(cfg)), (s, r, psi_start)
+                    assert_rounding_close(cfg, flow, padded)
+                assert bits(flow) == bits(fsum_reference(cfg)), (s, r, psi_start)
 
 
 @pytest.mark.parametrize("s, r", [(8, 8), (1, 9), (9, 2), (3, 3), (2, 3)])
