@@ -6,15 +6,15 @@ first with the base half leading: order 0 is a bare point, order p is the
 lift one order down followed by its parameter derivative. The m-th
 derivative of the curve therefore occupies the slots whose position bits sum
 to m, and the base projection is the first half, `e[..., : e.shape[-1] // 2]`.
-The tower comes from `geometry.curve_derivative`, the library's one curve
-formula, which is re-exported here.
+The tower is one `geometry._tower` call. `curve_derivative` stays re-exported
+as `bundle.curve_derivative`, the name `perfbench/tracing.py` traces it by.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import CurveSpec, curve_derivative
+from .geometry import CurveSpec, _tower, curve_derivative
 
 __all__ = [
     "MAX_LIFT_ORDER",
@@ -54,6 +54,6 @@ def curve_lift(spec: CurveSpec, psi, order: int) -> np.ndarray:
         raise ValueError(f"lift order must be non-negative, got {order}")
     if order > MAX_LIFT_ORDER:
         raise ValueError(f"lift order {order} above cap {MAX_LIFT_ORDER}")
-    tower = [curve_derivative(spec, psi, m) for m in range(order + 1)]
+    tower = _tower(spec, psi, range(order + 1))
     slots = [tower[j.bit_count()] for j in range(1 << order)]
     return np.concatenate(slots, axis=-1)

@@ -86,7 +86,8 @@ def check_resolved(cfg: IntegratorConfig, remedy: str = "use more --steps") -> N
     message ends in `remedy`.
     """
     z = -abs(cfg.step) * cfg.spec.frequency
-    if z != 0 and abs(1 + z + z * z / 2 + z**3 / 6 + z**4 / 24) >= 1:
+    # z**4 overflows past |z| = 1.2e77 and R4 is NaN at -inf; steps that large are unresolved
+    if z != 0 and (-z >= 1e77 or abs(1 + z + z * z / 2 + z**3 / 6 + z**4 / 24) >= 1):
         raise ValueError(
             f"integrated step h*sqrt(s*r) = {-z:g} is too coarse to resolve the curve: "
             f"RK4 needs |R4(-h*sqrt(s*r))| < 1, that is h*sqrt(s*r) below about 2.785; {remedy}"

@@ -1,9 +1,9 @@
 """Per-signature verification battery behind the `verify` command.
 
-For every grid cell (s, r, R) this runs the closed-form invariants, the
-integrator cross-checks, the bundle bookkeeping, and the isometry sweeps,
-and reports the worst residual of each check against its bound. All checks
-are deterministic: random draws come from a generator seeded per cell.
+For every grid cell (s, r, R) four check groups run, in order: closed form,
+flow, bundle, and isometry with the (1,1) boost shift. Each evaluates each of
+its psi arrays once, all orders from one tower, and reports every check's
+worst residual against its bound. Random draws are seeded per cell.
 
 `fault_r_eff=True` deliberately evaluates the curve with amplitude R instead
 of R/sqrt(r) while still checking against the quadric of R. Cells with r >= 2
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundle import bundle_dim, curve_lift
-from .geometry import (DEFAULT_TOL, CurveSpec, Signature, curve_derivative, inner_product,
+from .geometry import (DEFAULT_TOL, CurveSpec, Signature, _tower, curve_derivative, inner_product,
                        is_integer)
 from .ode import (IntegratorConfig, check_resolved, check_span, closed_form_trajectory,
                   convergence_order, integrate, max_deviation)
@@ -149,6 +149,93 @@ def _cell_plan(sig, radius, psi_start, psi_end, samples, steps, tol, seed,
     return cfgs
 
 
+def _closed_form_checks(spec: CurveSpec, r2: float, grid: np.ndarray, tol: float) -> list:
+    """The closed form's invariants on the grid; its velocity against a central difference."""
+    sig = spec.sig
+    pts, vel = _tower(spec, grid, (0, 1))
+    h = 1e-5
+    fd = (curve_derivative(spec, _FD_PSI + h, 0) - curve_derivative(spec, _FD_PSI - h, 0)) / (2 * h)
+    return [
+        Check("quadric", _max_abs(inner_product(pts, pts, sig) - r2), tol * r2),
+        Check("orthogonality", _max_abs(inner_product(pts, vel, sig)), tol * r2),
+        Check("velocity_norm", _max_abs(inner_product(vel, vel, sig) + sig.s * sig.r * r2),
+              tol * sig.s * sig.r * r2),
+        Check("uniformity", max(_block_spread(pts, sig.s), _block_spread(vel, sig.s)), 0.0),
+        Check("velocity_fd", _max_abs(fd - curve_derivative(spec, _FD_PSI, 1)),
+              1e-8 * max(1.0, sig.r * spec.r_eff)),
+    ]
+
+
+def _flow_checks(plan: list, r2: float) -> list:
+    """The integrated flow against the closed form, conservation along it, its fitted order."""
+    cfg, *fit_cfgs = plan
+    spec, sig = cfg.spec, cfg.spec.sig
+    num, *fits = [integrate(c) for c in plan]
+    psi_max = max(abs(cfg.psi_start), abs(cfg.psi_end))
+    dev_bound = 1e-7 * (1.0 + sig.r * spec.r_eff * math.cosh(psi_max * spec.frequency))
+    num_p, num_v = num[:, : sig.n], num[:, sig.n :]
+    return [
+        Check("flow_deviation", max_deviation(num, closed_form_trajectory(cfg)), dev_bound),
+        Check("flow_quadric", _max_abs(inner_product(num_p, num_p, sig) - r2), 1e-7 * r2),
+        Check("flow_orthogonality", _max_abs(inner_product(num_p, num_v, sig)), 1e-7 * r2),
+        Check("flow_uniformity",
+              max(_block_spread(num_p, sig.s), _block_spread(num_v, sig.s)), 0.0),
+        Check("convergence_order", abs(convergence_order(fit_cfgs, fits) - 4.0), 0.3),
+    ]
+
+
+def _bundle_checks(spec: CurveSpec) -> list:
+    """The lifts' bookkeeping, then the tower itself, each row scaled by its own magnitude."""
+    sig = spec.sig
+    lifts = [curve_lift(spec, _LIFT_PSI, p) for p in range(5)]
+    worst_dim = float(max(abs(e.shape[-1] - bundle_dim(sig.n, p)) for p, e in enumerate(lifts)))
+    worst_proj = max(_max_abs(e[:, : e.shape[-1] // 2] - below)
+                     for below, e in zip(lifts, lifts[1:]))
+    tower = np.array(_tower(spec, _LIFT_PSI, range(4)))
+    d0 = (sig.s * sig.r) * tower[0]
+    worst_second = _max_abs((tower[2] - d0) / np.max(np.abs(d0), axis=1, keepdims=True))
+    # orders 1..3 against a central difference of the order below, at +hh and -hh at once
+    hh = 1e-4
+    ahead, behind = np.moveaxis(_tower(spec, _LIFT_PSI + [[hh], [-hh]], range(3)), 1, 0)
+    scale = np.maximum(1.0, np.max(np.abs(tower[1:]), axis=-1, keepdims=True))
+    worst_lift_fd = _max_abs(((ahead - behind) / (2 * hh) - tower[1:]) / scale)
+    return [
+        Check("lift_dims", worst_dim, 0.0),
+        Check("lift_projection", worst_proj, 0.0),
+        Check("lift_second_derivative", worst_second, 1e-10),
+        Check("lift_fd", worst_lift_fd, 1e-6),
+    ]
+
+
+def _isometry_checks(cfg: IntegratorConfig, r2: float, rng: np.random.Generator) -> list:
+    """Random isometries and their images of the curve; on (1,1), a boost as a shift."""
+    spec, sig = cfg.spec, cfg.spec.sig
+    # each trial draws its map, then a pair of vectors, then a curve parameter
+    draws = [(random_isometry(sig, rng), rng.uniform(-1.0, 1.0, (2, sig.n)),
+              rng.uniform(-1.0, 1.0)) for _ in range(_TRANSFORM_TRIALS)]
+    maps, pairs, psis = map(np.array, zip(*draws))
+    ip = inner_product(pairs[:, 0], pairs[:, 1], sig)
+    images = apply(maps, pairs)
+    form_err = (inner_product(images[:, 0], images[:, 1], sig) - ip) / (1.0 + np.abs(ip))
+    q, qv = np.moveaxis(apply(maps, np.stack(_tower(spec, psis, (0, 1)), axis=1)), 1, 0)
+    checks = [
+        Check("isometry_defect", isometry_defect(maps, sig), 1e-10),
+        Check("isometry_form", _max_abs(form_err), 1e-10),
+        Check("isometry_quadric", _max_abs(inner_product(q, q, sig) - r2), 1e-9 * r2),
+        Check("isometry_pair_orthogonality", _max_abs(inner_product(q, qv, sig)), 1e-10 * r2),
+    ]
+    # the rounding error of the shift is relative, so its bound scales with R_eff
+    if sig.s == 1 and sig.r == 1:
+        shift_psi = np.linspace(cfg.psi_start, cfg.psi_end, 21)
+        shifts = np.linspace(-1.0, 1.0, 9)
+        got = apply(np.array([boost(sig, 0, 1, float(a)) for a in shifts]),
+                    curve_derivative(spec, shift_psi, 0))
+        want = curve_derivative(spec, shift_psi + shifts[:, None], 0)
+        checks.append(Check("boost_translation", _max_abs(got - want),
+                            1e-10 * max(1.0, spec.r_eff)))
+    return checks
+
+
 def run_cell_checks(
     sig: Signature,
     radius: float,
@@ -162,99 +249,11 @@ def run_cell_checks(
 ) -> CellReport:
     """Run the full battery for one cell and report worst residuals."""
     plan = _cell_plan(sig, radius, psi_start, psi_end, samples, steps, tol, seed, fault_r_eff)
-    cfg, *fit_cfgs = plan
-    spec = cfg.spec
-    r2 = radius * radius
+    cfg, r2 = plan[0], radius * radius
     rng = np.random.default_rng([seed, sig.s, sig.r, int(round(radius * 1e6))])
-    w = spec.frequency
-    s, r, n = sig.s, sig.r, sig.n
-    checks = []
-
-    # closed-form invariants on the psi grid
     grid = np.linspace(psi_start, psi_end, samples)
-    pts = curve_derivative(spec, grid, 0)
-    vel = curve_derivative(spec, grid, 1)
-    worst_quad = _max_abs(inner_product(pts, pts, sig) - r2)
-    worst_orth = _max_abs(inner_product(pts, vel, sig))
-    worst_vnorm = _max_abs(inner_product(vel, vel, sig) + s * r * r2)
-    worst_unif = max(_block_spread(pts, s), _block_spread(vel, s))
-    checks.append(Check("quadric", worst_quad, tol * r2))
-    checks.append(Check("orthogonality", worst_orth, tol * r2))
-    checks.append(Check("velocity_norm", worst_vnorm, tol * s * r * r2))
-    checks.append(Check("uniformity", worst_unif, 0.0))
-
-    # velocity against a central finite difference of the points
-    h = 1e-5
-    fd = (curve_derivative(spec, _FD_PSI + h, 0) - curve_derivative(spec, _FD_PSI - h, 0)) / (2 * h)
-    worst_fd = _max_abs(fd - curve_derivative(spec, _FD_PSI, 1))
-    checks.append(Check("velocity_fd", worst_fd, 1e-8 * max(1.0, r * spec.r_eff)))
-
-    # integrated flow against the closed form, plus conservation along it
-    num, *fits = [integrate(c) for c in plan]
-    ref = closed_form_trajectory(cfg)
-    psi_max = max(abs(psi_start), abs(psi_end))
-    dev_bound = 1e-7 * (1.0 + r * spec.r_eff * math.cosh(psi_max * w))
-    checks.append(Check("flow_deviation", max_deviation(num, ref), dev_bound))
-    num_p, num_v = num[:, :n], num[:, n:]
-    worst_fquad = _max_abs(inner_product(num_p, num_p, sig) - r2)
-    worst_forth = _max_abs(inner_product(num_p, num_v, sig))
-    checks.append(Check("flow_quadric", worst_fquad, 1e-7 * r2))
-    checks.append(Check("flow_orthogonality", worst_forth, 1e-7 * r2))
-    checks.append(
-        Check("flow_uniformity", max(_block_spread(num_p, s), _block_spread(num_v, s)), 0.0)
-    )
-    slope = convergence_order(fit_cfgs, fits)
-    checks.append(Check("convergence_order", abs(slope - 4.0), 0.3))
-
-    # bundle bookkeeping on the lift tower, one whole-array lift per order
-    lifts = [curve_lift(spec, _LIFT_PSI, p) for p in range(5)]
-    worst_dim = float(max(abs(e.shape[-1] - bundle_dim(n, p)) for p, e in enumerate(lifts)))
-    worst_proj = max(_max_abs(e[:, : e.shape[-1] // 2] - lifts[p - 1])
-                     for p, e in enumerate(lifts) if p >= 1)
-    # the tower itself, each row scaled by its own magnitude
-    d0 = (s * r) * curve_derivative(spec, _LIFT_PSI, 0)
-    d2 = curve_derivative(spec, _LIFT_PSI, 2)
-    worst_second = _max_abs((d2 - d0) / np.max(np.abs(d0), axis=1, keepdims=True))
-    hh = 1e-4
-    worst_lift_fd = 0.0
-    for m_ord in range(1, 4):
-        ahead = curve_derivative(spec, _LIFT_PSI + hh, m_ord - 1)
-        fd = (ahead - curve_derivative(spec, _LIFT_PSI - hh, m_ord - 1)) / (2 * hh)
-        dm = curve_derivative(spec, _LIFT_PSI, m_ord)
-        scale = np.maximum(1.0, np.max(np.abs(dm), axis=1, keepdims=True))
-        worst_lift_fd = max(worst_lift_fd, _max_abs((fd - dm) / scale))
-    checks.append(Check("lift_dims", worst_dim, 0.0))
-    checks.append(Check("lift_projection", worst_proj, 0.0))
-    checks.append(Check("lift_second_derivative", worst_second, 1e-10))
-    checks.append(Check("lift_fd", worst_lift_fd, 1e-6))
-
-    # random isometry products: defect, form preservation, quadric images; each
-    # trial draws its map, then a pair of vectors, then a curve parameter
-    draws = [(random_isometry(sig, rng), rng.uniform(-1.0, 1.0, (2, n)), rng.uniform(-1.0, 1.0))
-             for _ in range(_TRANSFORM_TRIALS)]
-    maps, pairs, psis = map(np.array, zip(*draws))
-    ip = inner_product(pairs[:, 0], pairs[:, 1], sig)
-    images = apply(maps, pairs)
-    form_err = (inner_product(images[:, 0], images[:, 1], sig) - ip) / (1.0 + np.abs(ip))
-    curve = np.stack((curve_derivative(spec, psis, 0), curve_derivative(spec, psis, 1)), axis=1)
-    q, qv = np.moveaxis(apply(maps, curve), 1, 0)
-    checks.append(Check("isometry_defect", isometry_defect(maps, sig), 1e-10))
-    checks.append(Check("isometry_form", _max_abs(form_err), 1e-10))
-    checks.append(Check("isometry_quadric", _max_abs(inner_product(q, q, sig) - r2), 1e-9 * r2))
-    checks.append(Check("isometry_pair_orthogonality", _max_abs(inner_product(q, qv, sig)),
-                        1e-10 * r2))
-
-    # for the (1,1) plane a boost acts as a parameter shift on the curve; the
-    # rounding error of the shift is relative, so its bound scales with R_eff
-    if s == 1 and r == 1:
-        shift_psi = np.linspace(psi_start, psi_end, 21)
-        shifts = np.linspace(-1.0, 1.0, 9)
-        got = apply(np.array([boost(sig, 0, 1, float(a)) for a in shifts]),
-                    curve_derivative(spec, shift_psi, 0))
-        want = curve_derivative(spec, shift_psi + shifts[:, None], 0)
-        checks.append(Check("boost_translation", _max_abs(got - want),
-                            1e-10 * max(1.0, spec.r_eff)))
-
+    checks = (_closed_form_checks(cfg.spec, r2, grid, tol) + _flow_checks(plan, r2)
+              + _bundle_checks(cfg.spec) + _isometry_checks(cfg, r2, rng))
     return CellReport(sig, radius, tuple(checks))
 
 

@@ -62,6 +62,18 @@ def test_lift_projection_consistency(sig, order):
     assert np.array_equal(rows[:, : rows.shape[-1] // 2], curve_lift(spec, PSI_ROWS, order - 1))
 
 
+@pytest.mark.parametrize("order", range(MAX_LIFT_ORDER + 1))
+def test_lift_slot_j_holds_the_derivative_of_order_popcount_j(order):
+    # the depth-first layout: slot j of an order-p lift is the derivative
+    # whose order is the number of set bits of j, bit for bit
+    spec = CurveSpec(Signature(2, 3), 1.3)
+    for psi in (0.37, PSI_ROWS):
+        slots = np.split(curve_lift(spec, psi, order), 1 << order, axis=-1)
+        for j, slot in enumerate(slots):
+            want = curve_derivative(spec, psi, j.bit_count())
+            assert slot.shape == want.shape and slot.tobytes() == want.tobytes()
+
+
 def test_trivialize_example():
     # the order-1 lift is the chart pair (point, velocity) flattened: at
     # psi = 0 the (1,1) curve sits at (0, 1) and moves along (1, 0)

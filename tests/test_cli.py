@@ -365,18 +365,22 @@ def test_generate_names_the_residual_overflow(tmp_path, capsys):
 
 def test_generate_names_the_coarse_step_before_integrating(tmp_path, monkeypatch, capsys):
     # h*sqrt(s*r) = 100.03 is far too coarse for RK4; the curve overflows on
-    # this range as well, which no step count mends, so both are named
+    # this range as well, which no step count mends, so both are named. At
+    # 1e79, R4(-h*sqrt(s*r)) itself overflows, which once ended the run with
+    # a bare "Numerical result out of range"
     def unreachable(*args):
         raise AssertionError("integrated an unresolved grid")
 
     monkeypatch.setattr(cli, "integrate", unreachable)
     out = tmp_path / "traj.csv"
-    assert main(["generate", "--sig", "1,1", "--mode", "integrated", "--psi-end", "10000",
-                 "--steps", "100", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "h*sqrt(s*r) = 100.03 is too coarse" in err
-    assert "exceeds about 710, got 10000" in err
-    assert not out.exists()
+    for start, end, steps, step in (("-3", "10000", "100", "100.03"),
+                                    ("0", "1e80", "10", "1e+79")):
+        assert main(["generate", "--sig", "1,1", "--mode", "integrated", "--psi-start", start,
+                     "--psi-end", end, "--steps", steps, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"h*sqrt(s*r) = {step} is too coarse" in err
+        assert f"exceeds about 710, got {float(end):g}" in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -471,12 +475,15 @@ def test_verify_small_grid_passes(capsys):
 @pytest.mark.parametrize("name, argv", [
     ("verify_default.txt", []),
     ("verify_max_sig_2_seed_1.txt", ["--max-sig", "2", "--seed", "1"]),
+    ("verify_inject_fault_r_eff.txt", ["--inject-fault", "r-eff"]),
 ])
 def test_verify_prints_the_recorded_report(capsys, name, argv):
     # the report as the code printed it before the RK4 block sums became
-    # products; a change that only makes the sweep faster leaves it byte for byte
+    # products (the fault's, before the battery was split into its groups);
+    # a change that only makes the sweep faster or smaller leaves it byte for
+    # byte, and a report with a failed cell exits 3
     want = (Path(__file__).parent / "data" / name).read_bytes()
-    assert main(["verify", *argv]) == 0
+    assert main(["verify", *argv]) == (3 if b" FAIL\n" in want else 0)
     assert capsys.readouterr().out.encode() == want
 
 
@@ -659,9 +666,12 @@ def test_benchmark_tracer_sees_every_traced_layer(tmp_path):
     assert swept["verify.run_cell_checks"]["calls"] == 4
     assert swept["ode.convergence_order"]["calls"] == 4
     # and evaluates its isometry and boost groups on whole arrays: two applies
-    # per cell and one for the (1,1) boosts, nine inner products per cell, and
-    # the curve through curve_derivative alone
+    # per cell and one for the (1,1) boosts, nine inner products per cell
     assert swept["transform.apply"]["calls"] <= 9
+    # each psi array once, all the orders it needs from one tower: outside
+    # the towers, curve_derivative serves only the three velocity_fd arrays
+    # and the four integrate starts of each cell, and the two boost grids
+    assert swept["bundle.curve_derivative"]["calls"] == 4 * (3 + 4) + 2
     # one isometry_defect per cell on its whole stack of maps, while the maps
     # themselves are still composed from traced generator calls
     assert swept["transform.isometry_defect"]["calls"] == 4

@@ -17,6 +17,7 @@ from pseudohyp import (
     max_deviation,
     point_at,
 )
+from pseudohyp.ode import check_resolved
 
 
 def spec11(radius=1.0):
@@ -80,6 +81,26 @@ def test_grid_endpoints_and_direction():
     rev = IntegratorConfig(2.5, -1.25, 7, spec11()).grid()
     assert rev[0] == 2.5 and rev[-1] == -1.25
     assert np.all(np.diff(rev) < 0)
+
+
+def test_check_resolved_decides_at_the_rk4_threshold():
+    # |R4(-h*w)| = 1 at h*w = 2.78529356340528162..., between two adjacent
+    # doubles; with w = 1 and one step, h*w is the interval itself
+    last = 2.7852935634052813
+    for hw in (1e-3, 1.0, 2.7, last):
+        check_resolved(IntegratorConfig(0.0, hw, 1, spec11()))
+    for hw in (math.nextafter(last, 3.0), 2.9, 1e3, 1e77):
+        with pytest.raises(ValueError, match="too coarse"):
+            check_resolved(IntegratorConfig(0.0, hw, 1, spec11()))
+
+
+def test_check_resolved_rejects_steps_past_the_float_range():
+    # z**4 overflows once |h*w| is above about 1.2e77, and an infinite step
+    # makes R4 inf - inf, NaN; both are unresolved, not an OverflowError or
+    # a pass
+    for start, end in ((0.0, 1e80), (-1e308, 1e308)):
+        with pytest.raises(ValueError, match="too coarse"):
+            check_resolved(IntegratorConfig(start, end, 10, spec11()))
 
 
 def test_zero_span_single_sample():

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,19 @@ def test_report_names_unique_and_bounded():
     assert "boost_translation" in names  # only present for the (1,1) cell
     rep22 = run_cell_checks(Signature(2, 2), 1.0, samples=30, steps=300)
     assert "boost_translation" not in [c.name for c in rep22.checks]
+
+
+@pytest.mark.parametrize("name, sweep", [
+    ("verify_checks_default.txt", {}),
+    ("verify_checks_max_sig_3_fault.txt", {"max_sig": 3, "fault_r_eff": True}),
+])
+def test_every_check_is_the_recorded_one(name, sweep):
+    # each check's worst and bound as the sweep computed them before its
+    # groups were split, to the last bit
+    want = (Path(__file__).parent / "data" / name).read_text()
+    got = "".join(f"{rep.sig.s} {rep.sig.r} {rep.radius!r} {c.name} {c.worst!r} {c.bound!r}\n"
+                  for rep in run_sweep(**sweep) for c in rep.checks)
+    assert got == want
 
 
 def test_fault_injection_is_detected():
