@@ -65,23 +65,19 @@ def _columns(sig: Signature):
 
 def _sample_values(cfg: IntegratorConfig, flow: np.ndarray) -> np.ndarray:
     """The output table of a flow on cfg.grid(), one row per sample: psi, the
-    block values t, x, dt and dx, form_residual and ortho_residual.
+    block values t, x, dt and dx, form_residual and ortho_residual. Both
+    producers fill each block from one value, so its first entry stands for it.
 
     Raises ValueError when a value is not finite, naming the limit hit: the
     residuals square the coordinates, so they overflow the float range first.
-    So does a flow whose blocks are not bitwise uniform.
     """
     sig, radius = cfg.spec.sig, cfg.spec.radius
-    s, r, n = sig.s, sig.r, sig.n
+    s, n = sig.s, sig.n
     p = flow[:, :n]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         form = inner_product(p, p, sig) - radius * radius
         ortho = inner_product(p, flow[:, n:], sig)
     table = np.column_stack((cfg.grid(), flow[:, [0, s, n, n + s]], form, ortho))
-    # compared as bits, so that a -0.0 beside a +0.0, which print apart, differ too
-    bits = np.repeat(table[:, 1:5], (s, r, s, r), axis=1).view(np.int64)
-    if not (bits == flow.view(np.int64)).all():
-        raise ValueError("the flow's time-like and space-like blocks are not bitwise uniform")
     if not np.isfinite(table).all():
         raise ValueError(
             "non-finite coordinates or residuals: the curve overflows once "

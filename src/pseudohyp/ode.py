@@ -66,14 +66,17 @@ class IntegratorConfig:
 
         Built as psi_start + span * (k / steps) rather than by repeated
         addition of the step, so a decimal request like [0, 1] in 10 steps
-        lands exactly on 0.0, 0.1, ..., 1.0. A zero-length interval yields
-        the single sample psi_start.
+        lands exactly on 0.0, 0.1, ..., 1.0. A span past the float range,
+        such as [-1e308, 1e308], is weighted instead, psi_start * (1 - f) +
+        psi_end * f with f = k / steps. Both endpoints are kept bit for bit,
+        -0.0 included; a zero-length interval has the one sample psi_start.
         """
-        if self.psi_end == self.psi_start:
-            return np.array([float(self.psi_start)])
-        span = self.psi_end - self.psi_start
-        g = self.psi_start + span * (np.arange(self.steps + 1) / self.steps)
-        g[-1] = self.psi_end
+        a, b = float(self.psi_start), float(self.psi_end)
+        if a == b:
+            return np.array([a])
+        f = np.arange(self.steps + 1) / self.steps
+        g = a + (b - a) * f if math.isfinite(b - a) else a * (1 - f) + b * f
+        g[0], g[-1] = a, b
         return g
 
 

@@ -83,6 +83,23 @@ def test_grid_endpoints_and_direction():
     assert np.all(np.diff(rev) < 0)
 
 
+def test_grid_keeps_a_signed_zero_start():
+    # the first sample was psi_start + span * 0.0, which turns -0.0 into +0.0
+    for end, steps in ((1.0, 4), (-2.0, 3)):
+        g = IntegratorConfig(-0.0, end, steps, spec11()).grid()
+        assert math.copysign(1.0, g[0]) == -1.0 and g[0] == 0.0 and g[-1] == end
+        assert np.array_equal(g[1:], IntegratorConfig(0.0, end, steps, spec11()).grid()[1:])
+
+
+def test_grid_over_a_span_past_the_float_range_is_finite():
+    # 1e308 - -1e308 overflows to inf, which made the grid [nan, inf, ..., 1e308]
+    for start, end in ((-1e308, 1e308), (1e308, -1e308), (-1.7976931348623157e308, 1e307)):
+        g = IntegratorConfig(start, end, 10, spec11()).grid()
+        assert np.isfinite(g).all() and g[0] == start and g[-1] == end
+        assert np.all(np.diff(g) > 0) if end > start else np.all(np.diff(g) < 0)
+    assert IntegratorConfig(-1e308, 1e308, 10, spec11()).grid()[5] == 0.0
+
+
 def test_check_resolved_decides_at_the_rk4_threshold():
     # |R4(-h*w)| = 1 at h*w = 2.78529356340528162..., between two adjacent
     # doubles; with w = 1 and one step, h*w is the interval itself
@@ -249,13 +266,21 @@ def test_flow_conserves_quadric_and_orthogonality(sig):
 
 
 def test_flow_uniformity_bitwise():
-    spec = CurveSpec(Signature(3, 2), 1.0)
-    cfg = IntegratorConfig(0.0, 1.5, 500, spec)
-    flow = integrate(cfg)
-    s = spec.sig.s
-    for arr in (flow[:, :5], flow[:, 5:]):
-        assert np.all(arr[:, :s] == arr[:, :1])
-        assert np.all(arr[:, s:] == arr[:, s : s + 1])
+    # every coordinate has the bits of its block's first entry, as np.repeat
+    # of the four block values lays them out; compared as int64, so that a
+    # -0.0 beside a +0.0, which == takes as equal, differs too
+    ranges = [(-1.0, 1.0, 8),  # 0.0 on the grid
+              (-0.0, 1.5, 6), (1.5, -2.0, 7), (0.75, 0.75, 3), (-0.0, -0.0, 2), (0.0, 1.5, 500)]
+    for producer in (integrate, closed_form_trajectory):
+        for s, r in ((1, 1), (2, 3), (3, 1), (4, 4), (1, 9), (8, 8)):
+            for start, end, steps in ranges:
+                cfg = IntegratorConfig(start, end, steps, CurveSpec(Signature(s, r), 1.3))
+                flow = producer(cfg)
+                blocks = flow[:, [0, s, s + r, 2 * s + r]]
+                want = np.repeat(blocks, (s, r, s, r), axis=1)
+                case = (producer.__name__, s, r, start, end)
+                assert flow.shape == want.shape, case
+                assert (flow.view(np.int64) == want.view(np.int64)).all(), case
 
 
 def runs(spec, psi_start, psi_end, step_counts):
