@@ -17,8 +17,8 @@ from operator import itemgetter
 import numpy as np
 
 from .bundle import bundle_dim
-from .geometry import CurveSpec, Signature, inner_product, point_at
-from .ode import IntegratorConfig, check_resolved, closed_form_trajectory, integrate
+from .geometry import CurveSpec, Signature, _block_inner, point_at
+from .ode import IntegratorConfig, _closed_form_blocks, _integrate_blocks, check_resolved
 from .verify import run_sweep
 
 __all__ = ["cmd_generate", "cmd_verify", "cmd_dims", "main"]
@@ -54,35 +54,29 @@ def _parse_sig(text: str) -> Signature:
 
 
 def _columns(sig: Signature):
-    cols = ["psi"]
-    cols += [f"t_{i + 1}" for i in range(sig.s)]
-    cols += [f"x_{j + 1}" for j in range(sig.s, sig.n)]
-    cols += [f"dt_{i + 1}" for i in range(sig.s)]
-    cols += [f"dx_{j + 1}" for j in range(sig.s, sig.n)]
-    cols += ["form_residual", "ortho_residual"]
-    return cols
+    t, x = range(1, sig.s + 1), range(sig.s + 1, sig.n + 1)
+    return ["psi", *[f"t_{i}" for i in t], *[f"x_{j}" for j in x], *[f"dt_{i}" for i in t],
+            *[f"dx_{j}" for j in x], "form_residual", "ortho_residual"]
 
 
-def _sample_values(cfg: IntegratorConfig, flow: np.ndarray) -> np.ndarray:
-    """The output table of a flow on cfg.grid(), one row per sample: psi, the
-    block values t, x, dt and dx, form_residual and ortho_residual. Both
-    producers fill each block from one value, so its first entry stands for it.
+def _sample_values(cfg: IntegratorConfig, blocks: np.ndarray) -> np.ndarray:
+    """The output table of a (steps + 1, 4) block table [t, x, dt, dx] on
+    cfg.grid(), one row per sample: psi, t, x, dt, dx, and the residuals of
+    the flow that repeats each block value over its block, bit for bit.
 
     Raises ValueError when a value is not finite, naming the limit hit: the
     residuals square the coordinates, so they overflow the float range first.
     """
     sig, radius = cfg.spec.sig, cfg.spec.radius
-    s, n = sig.s, sig.n
-    p = flow[:, :n]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        form = inner_product(p, p, sig) - radius * radius
-        ortho = inner_product(p, flow[:, n:], sig)
-    table = np.column_stack((cfg.grid(), flow[:, [0, s, n, n + s]], form, ortho))
+        form = _block_inner(blocks[:, :2], blocks[:, :2], sig) - radius * radius
+        ortho = _block_inner(blocks[:, :2], blocks[:, 2:], sig)
+    table = np.column_stack((cfg.grid(), blocks, form, ortho))
     if not np.isfinite(table).all():
         raise ValueError(
             "non-finite coordinates or residuals: the curve overflows once "
             "|psi|*sqrt(s*r) exceeds about 710, less for a large radius"
-            if not np.isfinite(flow).all() else
+            if not np.isfinite(blocks).all() else
             "non-finite residuals: form_residual and ortho_residual square the coordinates, "
             "and overflow once |psi|*sqrt(s*r) exceeds about 355, less for a large radius"
         )
@@ -103,7 +97,8 @@ def _write_rows(sig: Signature, table: np.ndarray, fmt: str, row: str, sep: str,
                         itemgetter(*[7 * j + c for j in range(k) for c in cols]))
         values, template, spread = plans[k]
         strings = (values % tuple(block.ravel().tolist())).split("\n")
-        stream.write((sep if i else "") + template % spread(strings))
+        stream.write(sep if i else "")
+        stream.write(template % spread(strings))
 
 
 def write_csv(spec: CurveSpec, table: np.ndarray, stream) -> None:
@@ -162,10 +157,9 @@ def cmd_generate(args) -> int:
                 raise ValueError(f"{coarse}; and {overflow}") from None
             raise
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        flow = (closed_form_trajectory(cfg) if args.mode == "closed_form"
-                else integrate(cfg))
+        blocks = (_closed_form_blocks if args.mode == "closed_form" else _integrate_blocks)(cfg)
     # raises on non-finite values, so nothing is written before the file exists
-    table = _sample_values(cfg, flow)
+    table = _sample_values(cfg, blocks)
     head = (spec,) if args.format == "csv" else (spec, args.mode)
     writer = write_csv if args.format == "csv" else write_json
     if args.out is None:

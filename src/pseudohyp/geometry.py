@@ -138,6 +138,15 @@ def _two_sum(a, b):
     return x, (a - (x - z)) + (b - z)
 
 
+def _dot2(products):
+    # Dot2's compensated sum of TwoProduct pairs (h, e), in the order given
+    total = err = 0.0
+    for h, e in products:
+        total, q = _two_sum(total, h)
+        err = err + (q + e)
+    return total + err
+
+
 def inner_product(u, v, sig: Signature):
     """Indefinite product -sum_{t-block} u_i*v_i + sum_{x-block} u_j*v_j.
 
@@ -149,18 +158,20 @@ def inner_product(u, v, sig: Signature):
     """
     u_cols = np.moveaxis(_check_coords(u, sig, "u"), -1, 0)
     v_cols = np.moveaxis(_check_coords(v, sig, "v"), -1, 0)
-    total = err = 0.0
-    for i, (a, b) in enumerate(zip(u_cols, v_cols)):
-        h, e = _two_product(-a if i < sig.s else a, b)
-        total, q = _two_sum(total, h)
-        err = err + (q + e)
-    res = total + err
+    res = _dot2(_two_product(-a if i < sig.s else a, b)
+                for i, (a, b) in enumerate(zip(u_cols, v_cols)))
     return float(res) if np.ndim(res) == 0 else res
 
 
-def _tower(spec: CurveSpec, psi, orders) -> list[np.ndarray]:
-    """The derivatives of the listed orders at psi, each as `curve_derivative`
-    gives it, from one sinh and one cosh per sample."""
+def _block_inner(u, v, sig: Signature):
+    """`inner_product`, bit for bit, of the rows repeating (..., 2) time-/space-like values."""
+    terms = (_two_product(-u[..., 0], v[..., 0]), _two_product(u[..., 1], v[..., 1]))
+    return _dot2(terms[i >= sig.s] for i in range(sig.n))
+
+
+def _block_tower(spec: CurveSpec, psi, orders) -> list[np.ndarray]:
+    """The derivatives of the listed orders at psi, each as (..., 2) block
+    values, time-like then space-like, from one sinh and one cosh per sample."""
     if min(orders) < 0:
         raise ValueError(f"derivative order must be non-negative, got {min(orders)}")
     sig, w = spec.sig, spec.frequency
@@ -182,9 +193,13 @@ def _tower(spec: CurveSpec, psi, orders) -> list[np.ndarray]:
                       spec.r_eff * power * cosh)
         else:
             blocks = (sig.r * spec.r_eff * power * cosh, w * spec.r_eff * power * sinh)
-        rows = np.repeat(np.stack(blocks, axis=-1), (sig.s, sig.r), axis=-1)
-        tower.append(rows.reshape(arg.shape + (sig.n,)))
+        tower.append(np.stack(blocks, axis=-1).reshape(arg.shape + (2,)))
     return tower
+
+
+def _tower(spec: CurveSpec, psi, orders) -> list[np.ndarray]:
+    """`_block_tower` with each value repeated over its block, as `curve_derivative` gives it."""
+    return [np.repeat(b, (spec.sig.s, spec.sig.r), -1) for b in _block_tower(spec, psi, orders)]
 
 
 def curve_derivative(spec: CurveSpec, psi, m: int) -> np.ndarray:

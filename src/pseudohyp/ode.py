@@ -7,10 +7,10 @@ the s time-like coordinates and every dt_i equals the sum of the r space-like
 ones. On a uniform state each block sum is a count times one value, t' = r*x
 and x' = s*t, which keeps integrated blocks bitwise uniform when they start
 uniform. The curve starts uniform, so the one RK4 loop steps four floats per
-sample, the block values t, x, dt and dx, and repeats each across its block
-once at the end. A flow, integrated or closed form, is a plain (steps + 1, 2n)
-array whose row k is [point | velocity] at cfg.grid()[k], the layout of an
-order-1 `curve_lift`.
+sample, the block values t, x, dt and dx. Both producers make a (steps + 1, 4)
+table of them, which `generate` works on; a flow, integrated or closed form,
+repeats each across its block: a plain (steps + 1, 2n) array whose row k is
+[point | velocity] at cfg.grid()[k], the layout of an order-1 `curve_lift`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CurveSpec, _tower, curve_derivative, is_integer
+from .geometry import CurveSpec, _block_tower, curve_derivative, is_integer
 
 __all__ = [
     "IntegratorConfig",
@@ -97,6 +97,43 @@ def check_resolved(cfg: IntegratorConfig, remedy: str = "use more --steps") -> N
         )
 
 
+def _flow(cfg: IntegratorConfig, blocks) -> np.ndarray:
+    # allocated first, so a flow too large to hold fails before any block is computed
+    s, r = cfg.spec.sig.s, cfg.spec.sig.r
+    flow = np.empty((cfg.steps + 1 if cfg.psi_end != cfg.psi_start else 1, 2 * (s + r)))
+    return np.take(blocks(cfg), np.repeat(np.arange(4), (s, r, s, r)), axis=1, out=flow)
+
+
+def _integrate_blocks(cfg: IntegratorConfig) -> np.ndarray:
+    """`integrate`'s flow as block values, a (steps + 1, 4) table [t, x, dt, dx]."""
+    s, r = cfg.spec.sig.s, cfg.spec.sig.r
+    # the table is allocated first, so one too large to hold fails before the loop
+    steps = cfg.steps if cfg.psi_end != cfg.psi_start else 0
+    table = np.empty((steps + 1, 4))
+    t, x = curve_derivative(cfg.spec, cfg.psi_start, 0)[[0, s]].tolist()
+    cs, cr = float(s), float(r)
+    h = cfg.step
+    half, sixth = 0.5 * h, h / 6.0
+    # t is -0.0 from a psi_start of -0.0 (and stays so if the step underflows
+    # to -0.0), where a sum of its block is +0.0; x stays positive
+    dt, dx = cr * x, cs * t + 0.0
+    ts, xs = array("d", (t,)), array("d", (x,))
+    for _ in range(steps):
+        # the first stage is the velocity already recorded for this sample
+        dt2, dx2 = cr * (x + half * dx), cs * (t + half * dt)
+        dt3, dx3 = cr * (x + half * dx2), cs * (t + half * dt2)
+        dt4, dx4 = cr * (x + h * dx3), cs * (t + h * dt3)
+        t += sixth * (dt + 2.0 * dt2 + 2.0 * dt3 + dt4)
+        x += sixth * (dx + 2.0 * dx2 + 2.0 * dx3 + dx4)
+        dt, dx = cr * x, cs * t + 0.0
+        ts.append(t)
+        xs.append(x)
+    table[:, 0], table[:, 1] = ts, xs
+    # the loop's velocities, by the same IEEE operations
+    table[:, 2], table[:, 3] = cr * table[:, 1], cs * table[:, 0] + 0.0
+    return table
+
+
 def integrate(cfg: IntegratorConfig) -> np.ndarray:
     """Classic four-stage fixed-step integration of the flow from the curve's
     own start, point_at(cfg.psi_start).
@@ -110,32 +147,12 @@ def integrate(cfg: IntegratorConfig) -> np.ndarray:
     (steps + 1, 2n) array whose row k is [point | velocity] at cfg.grid()[k].
     Deterministic for fixed inputs.
     """
-    s, r = cfg.spec.sig.s, cfg.spec.sig.r
-    # a zero-length interval has the one sample psi_start (see `grid`); the
-    # flow is allocated first, so one too large to hold fails before the loop
-    steps = cfg.steps if cfg.psi_end != cfg.psi_start else 0
-    flow = np.empty((steps + 1, 2 * (s + r)))
-    t, x = curve_derivative(cfg.spec, cfg.psi_start, 0)[[0, s]].tolist()
-    cs, cr = float(s), float(r)
-    h = cfg.step
-    half, sixth = 0.5 * h, h / 6.0
-    # t is -0.0 from a psi_start of -0.0 (and stays so if the step underflows
-    # to -0.0), where a sum of its block is +0.0; x stays positive
-    dt, dx = cr * x, cs * t + 0.0
-    # one flat buffer of (t, x, dt, dx) per sample
-    buf = array("d", (t, x, dt, dx))
-    extend = buf.extend
-    for _ in range(steps):
-        # the first stage is the velocity already recorded for this sample
-        dt2, dx2 = cr * (x + half * dx), cs * (t + half * dt)
-        dt3, dx3 = cr * (x + half * dx2), cs * (t + half * dt2)
-        dt4, dx4 = cr * (x + h * dx3), cs * (t + h * dt3)
-        t += sixth * (dt + 2.0 * dt2 + 2.0 * dt3 + dt4)
-        x += sixth * (dx + 2.0 * dx2 + 2.0 * dx3 + dx4)
-        dt, dx = cr * x, cs * t + 0.0
-        extend((t, x, dt, dx))
-    blocks = np.repeat(np.arange(4), (s, r, s, r))
-    return np.take(np.frombuffer(buf).reshape(-1, 4), blocks, axis=1, out=flow)
+    return _flow(cfg, _integrate_blocks)
+
+
+def _closed_form_blocks(cfg: IntegratorConfig) -> np.ndarray:
+    """`closed_form_trajectory` as block values, a (steps + 1, 4) table [t, x, dt, dx]."""
+    return np.hstack(_block_tower(cfg.spec, cfg.grid(), (0, 1)))
 
 
 def closed_form_trajectory(cfg: IntegratorConfig) -> np.ndarray:
@@ -144,7 +161,7 @@ def closed_form_trajectory(cfg: IntegratorConfig) -> np.ndarray:
     Laid out as `integrate`'s flow: row k is [point_at | velocity_at] at
     cfg.grid()[k], bit for bit.
     """
-    return np.hstack(_tower(cfg.spec, cfg.grid(), (0, 1)))
+    return _flow(cfg, _closed_form_blocks)
 
 
 def max_deviation(a: np.ndarray, b: np.ndarray) -> float:

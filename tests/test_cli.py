@@ -17,8 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pseudohyp import CurveSpec, IntegratorConfig, Signature, closed_form_trajectory, integrate
-from pseudohyp import cli, verify
+from pseudohyp import (CurveSpec, IntegratorConfig, Signature, closed_form_trajectory,
+                       inner_product, integrate)
+from pseudohyp import cli, ode, verify
 from pseudohyp.cli import main
 from pseudohyp.verify import run_sweep
 
@@ -140,14 +141,17 @@ def parsed(fmt, text):
                       d["ortho_residual"]] for d in json.loads(text)["samples"]])
 
 
+# the block producer `generate` calls, and the public flow it stands for
+PRODUCERS = {"closed_form": (ode._closed_form_blocks, closed_form_trajectory),
+             "integrated": (ode._integrate_blocks, integrate)}
+
+
 def trajectory(sig, mode, rows):
-    """A config and its flow of `rows` samples."""
+    """A config and its (rows, 4) block table [t, x, dt, dx]."""
     spec = CurveSpec(Signature(*sig), 1.7)
     # one row is the zero-length interval, which has a single sample
     cfg = IntegratorConfig(-1.5, -1.5 if rows == 1 else 2.5, max(rows - 1, 1), spec)
-    if mode == "closed_form":
-        return cfg, closed_form_trajectory(cfg)
-    return cfg, integrate(cfg)
+    return cfg, PRODUCERS[mode][0](cfg)
 
 
 @pytest.mark.parametrize("mode", ["closed_form", "integrated"])
@@ -155,11 +159,17 @@ def trajectory(sig, mode, rows):
 def test_writers_match_reference_writers(sig, mode):
     block = cli._BLOCK_ROWS
     for rows in (1, block - 1, block, block + 1, 2 * block + 1):
-        cfg, flow = trajectory(sig, mode, rows)
-        table = cli._sample_values(cfg, flow)
+        cfg, blocks = trajectory(sig, mode, rows)
+        table = cli._sample_values(cfg, blocks)
         assert table.shape == (rows, 7)
-        # the table keeps each block value once, and the flow's bits
+        # the table keeps each block value once, and the public flow's bits
+        flow = PRODUCERS[mode][1](cfg)
         assert expanded(cfg.spec.sig, table)[:, 1:-2].tobytes() == flow.tobytes()
+        # and the residuals of the flow's rows, bit for bit
+        p = flow[:, : cfg.spec.sig.n]
+        want = (inner_product(p, p, cfg.spec.sig) - 1.7 * 1.7,
+                inner_product(p, flow[:, cfg.spec.sig.n :], cfg.spec.sig))
+        assert table[:, -2:].tobytes() == np.column_stack(want).tobytes()
         for fmt, (writer, reference) in WRITERS.items():
             text = written(writer, head(fmt, cfg, mode), table)
             assert text == written(reference, head(fmt, cfg, mode), table), (fmt, rows)
@@ -196,8 +206,8 @@ class RecordingStream:
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_writers_stream_in_blocks(fmt):
     # both tables repeat one block of rows, so every block formats alike
-    cfg, flow = trajectory((4, 4), "closed_form", cli._BLOCK_ROWS)
-    block = cli._sample_values(cfg, flow)
+    cfg, blocks = trajectory((4, 4), "closed_form", cli._BLOCK_ROWS)
+    block = cli._sample_values(cfg, blocks)
     largest, peak = [], []
     for table in (np.tile(block, (4, 1)), np.tile(block, (8, 1))):
         stream = RecordingStream()
@@ -215,18 +225,37 @@ def test_writers_stream_in_blocks(fmt):
 
 
 def test_sample_values_memory_does_not_grow_with_n():
-    # the table holds 7 columns whatever n is; the flow is read in place, so
-    # no (steps + 1, 2n) temporary makes the peak grow with the signature
+    # the table holds 7 columns whatever n is, and the residuals come from the
+    # 4 block values, so no (steps + 1, 2n) temporary makes the peak grow with
+    # the signature
     per_byte = []
     for sig in ((1, 1), (8, 8)):
-        cfg, flow = trajectory(sig, "closed_form", 5001)
+        cfg, blocks = trajectory(sig, "closed_form", 5001)
         tracemalloc.start()
         try:
-            table = cli._sample_values(cfg, flow)
+            table = cli._sample_values(cfg, blocks)
             per_byte.append(tracemalloc.get_traced_memory()[1] / table.nbytes)
         finally:
             tracemalloc.stop()
     assert per_byte[1] < 1.25 * per_byte[0]
+
+
+@pytest.mark.parametrize("mode", ["closed_form", "integrated"])
+def test_generate_memory_per_row_does_not_grow_with_n(tmp_path, mode):
+    # generate holds 4 block values per sample, never the (steps + 1, 2n)
+    # flow, so at (8,8) its peak per row stays that of (1,1), where the flow
+    # would be 8 times as wide; the writer's block of text, which grows with
+    # n but not with the rows, is small beside 16001 rows
+    per_row = []
+    for sig in ("1,1", "8,8"):
+        tracemalloc.start()
+        try:
+            assert main(["generate", "--sig", sig, "--mode", mode, "--psi-start", "-1",
+                         "--psi-end", "1", "--steps", "16000", "--out", str(tmp_path / "t.csv")]) == 0
+            per_row.append(tracemalloc.get_traced_memory()[1] / 16001)
+        finally:
+            tracemalloc.stop()
+    assert per_row[1] < 1.25 * per_row[0]
 
 
 def test_generate_to_stdout(capsys):
@@ -354,7 +383,8 @@ def test_generate_names_the_coarse_step_before_integrating(tmp_path, monkeypatch
     def unreachable(*args):
         raise AssertionError("integrated an unresolved grid")
 
-    monkeypatch.setattr(cli, "integrate", unreachable)
+    # generate integrates through the block producer only
+    monkeypatch.setattr(cli, "_integrate_blocks", unreachable)
     out = tmp_path / "traj.csv"
     for start, end, steps, step in (("-3", "10000", "100", "100.03"),
                                     ("0", "1e80", "10", "1e+79")):
@@ -371,9 +401,9 @@ def test_generate_builds_table_once(tmp_path, monkeypatch, fmt):
     calls = []
     build = cli._sample_values
 
-    def counted(cfg, flow):
-        calls.append(flow)
-        return build(cfg, flow)
+    def counted(cfg, blocks):
+        calls.append(blocks)
+        return build(cfg, blocks)
 
     monkeypatch.setattr(cli, "_sample_values", counted)
     out = tmp_path / f"traj.{fmt}"
@@ -598,11 +628,14 @@ def test_verify_reports_the_first_cell_error(capsys, argv, message):
     assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("command", [["generate", "--sig", "1,1", "--out", "traj.csv"],
-                                     ["verify", "--max-sig", "1"]])
+@pytest.mark.parametrize("command", [
+    ["generate", "--sig", "1,1", "--out", "traj.csv"],
+    ["verify", "--max-sig", "1"],
+    ["generate", "--sig", "1,1", "--mode", "integrated", "--out", "traj.csv"],
+])
 def test_unallocatable_steps_is_config_error(tmp_path, monkeypatch, capsys, command):
-    # numpy refuses the petabytes of the grid or the flow at once, so nothing
-    # is allocated
+    # numpy refuses the petabytes of the grid, the block table or the flow at
+    # once, so nothing is allocated and the RK4 loop never starts
     monkeypatch.chdir(tmp_path)
     assert main([*command, "--steps", "1000000000000000"]) == 1
     err = capsys.readouterr().err
