@@ -156,10 +156,10 @@ def cmd_generate(args) -> int:
             except OverflowError as overflow:
                 raise ValueError(f"{coarse}; and {overflow}") from None
             raise
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        blocks = (_closed_form_blocks if args.mode == "closed_form" else _integrate_blocks)(cfg)
-    # raises on non-finite values, so nothing is written before the file exists
-    table = _sample_values(cfg, blocks)
+    produce = _closed_form_blocks if args.mode == "closed_form" else _integrate_blocks
+    # non-finite values raise before the file exists; the block table is freed before the write
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported as one error
+        table = _sample_values(cfg, produce(cfg))
     head = (spec,) if args.format == "csv" else (spec, args.mode)
     writer = write_csv if args.format == "csv" else write_json
     if args.out is None:

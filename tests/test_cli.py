@@ -166,9 +166,9 @@ def test_writers_match_reference_writers(sig, mode):
         flow = PRODUCERS[mode][1](cfg)
         assert expanded(cfg.spec.sig, table)[:, 1:-2].tobytes() == flow.tobytes()
         # and the residuals of the flow's rows, bit for bit
-        p = flow[:, : cfg.spec.sig.n]
-        want = (inner_product(p, p, cfg.spec.sig) - 1.7 * 1.7,
-                inner_product(p, flow[:, cfg.spec.sig.n :], cfg.spec.sig))
+        spec, p = cfg.spec, flow[:, : cfg.spec.sig.n]
+        want = (inner_product(p, p, spec.sig) - spec.radius * spec.radius,
+                inner_product(p, flow[:, spec.sig.n :], spec.sig))
         assert table[:, -2:].tobytes() == np.column_stack(want).tobytes()
         for fmt, (writer, reference) in WRITERS.items():
             text = written(writer, head(fmt, cfg, mode), table)
@@ -250,8 +250,8 @@ def test_generate_memory_per_row_does_not_grow_with_n(tmp_path, mode):
     for sig in ("1,1", "8,8"):
         tracemalloc.start()
         try:
-            assert main(["generate", "--sig", sig, "--mode", mode, "--psi-start", "-1",
-                         "--psi-end", "1", "--steps", "16000", "--out", str(tmp_path / "t.csv")]) == 0
+            assert main(["generate", "--sig", sig, "--mode", mode, "--psi-start", "-1", "--psi-end",
+                         "1", "--steps", "16000", "--out", str(tmp_path / "t.csv")]) == 0
             per_row.append(tracemalloc.get_traced_memory()[1] / 16001)
         finally:
             tracemalloc.stop()

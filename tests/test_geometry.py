@@ -131,9 +131,9 @@ def test_block_inner_matches_inner_product_bitwise():
     # the residual kernel on block values against the product of the rows
     # that repeat them over their blocks; compared as int64, so that a -0.0
     # beside a +0.0, or one NaN beside another, differs too. The property runs
-    # inside a plain test: on a failure, hypothesis's pytest plugin would
-    # import its patch writer, whose dependencies warn, which tier-1 makes an
-    # error of the whole session
+    # inside a plain test: on a failure, hypothesis's pytest plugin imports
+    # its patch writer, whose dependencies warn, and with warnings as errors
+    # that ends the whole session
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(sig=st.sampled_from([(1, 1), (2, 3), (3, 1), (1, 9), (4, 4), (8, 8)]),
            data=st.data())

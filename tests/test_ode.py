@@ -268,11 +268,13 @@ def test_flow_conserves_quadric_and_orthogonality(sig):
 
 def test_flow_uniformity_bitwise():
     # every coordinate has the bits of its block's first entry, as np.repeat
-    # of the four block values lays them out; compared as int64, so that a
-    # -0.0 beside a +0.0, which == takes as equal, differs too
+    # of the four block values lays them out, and those are the (steps + 1, 4)
+    # table of the block producer that `generate` writes; compared as int64,
+    # so that a -0.0 beside a +0.0, which == takes as equal, differs too
     ranges = [(-1.0, 1.0, 8),  # 0.0 on the grid
               (-0.0, 1.5, 6), (1.5, -2.0, 7), (0.75, 0.75, 3), (-0.0, -0.0, 2), (0.0, 1.5, 500)]
-    for producer in (integrate, closed_form_trajectory):
+    for producer, blocks_of in ((integrate, ode._integrate_blocks),
+                                (closed_form_trajectory, ode._closed_form_blocks)):
         for s, r in ((1, 1), (2, 3), (3, 1), (4, 4), (1, 9), (8, 8)):
             for start, end, steps in ranges:
                 cfg = IntegratorConfig(start, end, steps, CurveSpec(Signature(s, r), 1.3))
@@ -282,25 +284,7 @@ def test_flow_uniformity_bitwise():
                 case = (producer.__name__, s, r, start, end)
                 assert flow.shape == want.shape, case
                 assert (flow.view(np.int64) == want.view(np.int64)).all(), case
-
-
-def test_flows_expand_their_block_tables_bitwise():
-    # each public flow is its block producer's [t, x, dt, dx] table with every
-    # value repeated over its block, bit for bit, so `generate`, which writes
-    # the tables, writes the flows
-    ranges = [(-1.0, 1.0, 8),
-              (-0.0, 1.5, 6), (1.5, -2.0, 7), (0.75, 0.75, 3), (-0.0, -0.0, 2), (0.0, 1.5, 500)]
-    for producer, blocks_of in ((integrate, ode._integrate_blocks),
-                                (closed_form_trajectory, ode._closed_form_blocks)):
-        for s, r in ((1, 1), (2, 3), (3, 1), (4, 4), (1, 9), (8, 8)):
-            for start, end, steps in ranges:
-                cfg = IntegratorConfig(start, end, steps, CurveSpec(Signature(s, r), 1.3))
-                blocks = blocks_of(cfg)
-                want = np.repeat(blocks, (s, r, s, r), axis=1)
-                case = (producer.__name__, s, r, start, end)
-                flow = producer(cfg)
-                assert blocks.shape == (len(cfg.grid()), 4) and flow.shape == want.shape, case
-                assert (flow.view(np.int64) == want.view(np.int64)).all(), case
+                assert (blocks_of(cfg).view(np.int64) == blocks.view(np.int64)).all(), case
 
 
 def runs(spec, psi_start, psi_end, step_counts):
