@@ -245,14 +245,14 @@ def test_generate_memory_per_row_does_not_grow_with_n(tmp_path, mode):
     # generate holds 4 block values per sample, never the (steps + 1, 2n)
     # flow, so at (8,8) its peak per row stays that of (1,1), where the flow
     # would be 8 times as wide; the writer's block of text, which grows with
-    # n but not with the rows, is small beside 16001 rows
+    # n but not with the rows, is small beside 10001 rows
     per_row = []
     for sig in ("1,1", "8,8"):
         tracemalloc.start()
         try:
             assert main(["generate", "--sig", sig, "--mode", mode, "--psi-start", "-1", "--psi-end",
-                         "1", "--steps", "16000", "--out", str(tmp_path / "t.csv")]) == 0
-            per_row.append(tracemalloc.get_traced_memory()[1] / 16001)
+                         "1", "--steps", "10000", "--out", str(tmp_path / "t.csv")]) == 0
+            per_row.append(tracemalloc.get_traced_memory()[1] / 10001)
         finally:
             tracemalloc.stop()
     assert per_row[1] < 1.25 * per_row[0]

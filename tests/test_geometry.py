@@ -134,7 +134,7 @@ def test_block_inner_matches_inner_product_bitwise():
     # inside a plain test: on a failure, hypothesis's pytest plugin imports
     # its patch writer, whose dependencies warn, and with warnings as errors
     # that ends the whole session
-    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
     @given(sig=st.sampled_from([(1, 1), (2, 3), (3, 1), (1, 9), (4, 4), (8, 8)]),
            data=st.data())
     def check(sig, data):
