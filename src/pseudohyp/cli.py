@@ -12,12 +12,12 @@ import csv
 import json
 import os
 import sys
-from operator import itemgetter
+from itertools import chain
 
 import numpy as np
 
 from .bundle import bundle_dim
-from .geometry import CurveSpec, Signature, _block_inner, point_at
+from .geometry import CurveSpec, Signature, _block_inner, _block_tower
 from .ode import IntegratorConfig, _closed_form_blocks, _integrate_blocks, check_resolved
 from .verify import run_sweep
 
@@ -84,21 +84,22 @@ def _sample_values(cfg: IntegratorConfig, blocks: np.ndarray) -> np.ndarray:
 
 
 def _write_rows(sig: Signature, table: np.ndarray, fmt: str, row: str, sep: str, stream) -> None:
-    # Three C calls per block of `_BLOCK_ROWS` rows: one `%` formats its distinct
-    # values (no float's text holds a newline), one itemgetter spreads their text
-    # over the columns, and one `%` fills `row`, a %s per column, once per row.
-    cols = np.repeat(np.arange(7), (1, sig.s, sig.r, sig.s, sig.r, 1, 1)).tolist()
-    plans = {}  # per block length, so at most two
+    # Per block of `_BLOCK_ROWS` rows, one `%` formats its distinct values column
+    # by column (no float's text holds a newline), so each column's text is one
+    # slice of the split, and one `%` fills `row`, a %s per column, once per row,
+    # from the zip of the slices that each output column repeats.
+    repeats = (1, sig.s, sig.r, sig.s, sig.r, 1, 1)
+    templates = {}  # per block length, so at most two
     for i in range(0, len(table), _BLOCK_ROWS):
         block = table[i : i + _BLOCK_ROWS]
         k = len(block)
-        if k not in plans:
-            plans[k] = ("\n".join([fmt] * 7 * k), sep.join([row] * k),
-                        itemgetter(*[7 * j + c for j in range(k) for c in cols]))
-        values, template, spread = plans[k]
-        strings = (values % tuple(block.ravel().tolist())).split("\n")
+        if k not in templates:
+            templates[k] = ("\n".join([fmt] * 7 * k), sep.join([row] * k))
+        values, template = templates[k]
+        text = (values % tuple(block.T.ravel().tolist())).split("\n")
+        columns = chain.from_iterable([text[c * k : c * k + k]] * m for c, m in enumerate(repeats))
         stream.write(sep if i else "")
-        stream.write(template % spread(strings))
+        stream.write(template % tuple(chain.from_iterable(zip(*columns))))
 
 
 def write_csv(spec: CurveSpec, table: np.ndarray, stream) -> None:
@@ -114,13 +115,10 @@ def write_csv(spec: CurveSpec, table: np.ndarray, stream) -> None:
 
 
 def _json_sample(sig: Signature) -> str:
-    # one entry of "samples" as json.dump(indent=2) lays it out, a %s per value
-    def array(name, k):
-        return f'      "{name}": [\n' + ",\n".join(["        %s"] * k) + "\n      ]"
-
-    fields = ['      "psi": %s', array("t", sig.s), array("x", sig.r), array("dt", sig.s),
-              array("dx", sig.r), '      "form_residual": %s', '      "ortho_residual": %s']
-    return "\n    {\n" + ",\n".join(fields) + "\n    }"
+    # a "samples" entry as json.dump(indent=2) lays it out, a %s per value; no key holds a 0
+    sample = {"psi": 0, "t": [0] * sig.s, "x": [0] * sig.r, "dt": [0] * sig.s,
+              "dx": [0] * sig.r, "form_residual": 0, "ortho_residual": 0}
+    return ("\n" + json.dumps(sample, indent=2)).replace("\n", "\n    ").replace("0", "%s")
 
 
 def write_json(spec: CurveSpec, mode: str, table: np.ndarray, stream) -> None:
@@ -152,7 +150,7 @@ def cmd_generate(args) -> int:
         except ValueError as coarse:
             # more steps cannot serve a psi range on which the curve itself overflows
             try:
-                point_at(max(abs(args.psi_start), abs(args.psi_end)), spec)
+                _block_tower(spec, max(abs(args.psi_start), abs(args.psi_end)), (0,))
             except OverflowError as overflow:
                 raise ValueError(f"{coarse}; and {overflow}") from None
             raise

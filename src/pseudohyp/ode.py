@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CurveSpec, _block_tower, curve_derivative, is_integer
+from .geometry import CurveSpec, _block_tower, is_integer
 
 __all__ = [
     "IntegratorConfig",
@@ -110,7 +110,7 @@ def _integrate_blocks(cfg: IntegratorConfig) -> np.ndarray:
     # the table is allocated first, so one too large to hold fails before the loop
     steps = cfg.steps if cfg.psi_end != cfg.psi_start else 0
     table = np.empty((steps + 1, 4))
-    t, x = curve_derivative(cfg.spec, cfg.psi_start, 0)[[0, s]].tolist()
+    t, x = _block_tower(cfg.spec, cfg.psi_start, (0,))[0].tolist()
     cs, cr = float(s), float(r)
     h = cfg.step
     half, sixth = 0.5 * h, h / 6.0
@@ -136,7 +136,7 @@ def _integrate_blocks(cfg: IntegratorConfig) -> np.ndarray:
 
 def integrate(cfg: IntegratorConfig) -> np.ndarray:
     """Classic four-stage fixed-step integration of the flow from the curve's
-    own start, point_at(cfg.psi_start).
+    own point at cfg.psi_start.
 
     The start is uniform and every step keeps it uniform, so the loop steps
     the four block values t, x, dt and dx as Python floats. Each block sum is

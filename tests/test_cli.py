@@ -179,11 +179,11 @@ def test_writers_match_reference_writers(sig, mode):
 
 def test_writers_match_reference_on_hand_made_values():
     # signed zero, the smallest subnormal, extremes, and values whose shortest
-    # repr and 17-digit forms differ; seven values fill one table row, and at
-    # (2,3) each block value lands in two or three columns
+    # repr and 17-digit forms differ; seven values fill one table row, and
+    # past (1,1) each block value lands in up to nine columns
     values = [-0.0, 5e-324, 1e300, -1e-300, 0.1, 1e16, 123456789012345680.0]
     table = np.array([np.roll(values, k) for k in range(len(values))])
-    for sig in ((1, 1), (2, 3)):
+    for sig in ((1, 1), (2, 3), (3, 1), (4, 4), (1, 9), (8, 8)):
         cfg, _ = trajectory(sig, "closed_form", len(values))
         for fmt, (writer, reference) in WRITERS.items():
             text = written(writer, head(fmt, cfg, "closed_form"), table)
@@ -691,6 +691,10 @@ def test_benchmark_tracer_sees_every_traced_layer(tmp_path):
                              "--format", fmt, "--out", str(tmp_path / f"t.{fmt}")]) == 0
         generated = len(tracer)
         assert cli.main(["verify", "--max-sig", "2"]) == 0
+    # generate works on block values only, its RK4 start and overflow probe too
+    made = tracer.aggregate(0, generated)
+    for name in ("bundle.curve_derivative", "geometry.point_at", "geometry.inner_product"):
+        assert made[name]["calls"] == 0, name
     spans = tracer.aggregate(0, len(tracer))
     for name in ("cli.write_csv", "cli.write_json", "ode.integrate",
                  "ode.closed_form_trajectory", "verify.run_cell_checks",
@@ -705,8 +709,8 @@ def test_benchmark_tracer_sees_every_traced_layer(tmp_path):
     assert swept["transform.apply"]["calls"] <= 9
     # each psi array once, all the orders it needs from one tower: outside
     # the towers, curve_derivative serves only the three velocity_fd arrays
-    # and the four integrate starts of each cell, and the two boost grids
-    assert swept["bundle.curve_derivative"]["calls"] == 4 * (3 + 4) + 2
+    # of each cell and the two boost grids
+    assert swept["bundle.curve_derivative"]["calls"] == 4 * 3 + 2
     # one isometry_defect per cell on its whole stack of maps, while the maps
     # themselves are still composed from traced generator calls
     assert swept["transform.isometry_defect"]["calls"] == 4

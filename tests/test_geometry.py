@@ -127,31 +127,24 @@ BLOCK_VALUES = st.one_of(
 )
 
 
-def test_block_inner_matches_inner_product_bitwise():
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(sig=st.sampled_from([(1, 1), (2, 3), (3, 1), (1, 9), (4, 4), (8, 8)]), data=st.data())
+def test_block_inner_matches_inner_product_bitwise(sig, data):
     # the residual kernel on block values against the product of the rows
     # that repeat them over their blocks; compared as int64, so that a -0.0
-    # beside a +0.0, or one NaN beside another, differs too. The property runs
-    # inside a plain test: on a failure, hypothesis's pytest plugin imports
-    # its patch writer, whose dependencies warn, and with warnings as errors
-    # that ends the whole session
-    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
-    @given(sig=st.sampled_from([(1, 1), (2, 3), (3, 1), (1, 9), (4, 4), (8, 8)]),
-           data=st.data())
-    def check(sig, data):
-        sig = Signature(*sig)
-        rows = data.draw(st.integers(1, 5))
-        u, v = (data.draw(arrays(float, (rows, 2), elements=BLOCK_VALUES)) for _ in range(2))
-        if data.draw(st.booleans()):
-            # points near the null cone, s*t^2 = r*x^2, each paired with itself:
-            # the n terms cancel, so the order of the TwoSums decides the last bits
-            u = v = u[:, :1] * [1.0, math.sqrt(sig.s / sig.r)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = _block_inner(u, v, sig)
-            want = inner_product(*(np.repeat(a, (sig.s, sig.r), axis=-1) for a in (u, v)), sig)
-        assert got.shape == want.shape == (rows,)
-        assert (got.view(np.int64) == want.view(np.int64)).all()
-
-    check()
+    # beside a +0.0, or one NaN beside another, differs too
+    sig = Signature(*sig)
+    rows = data.draw(st.integers(1, 5))
+    u, v = (data.draw(arrays(float, (rows, 2), elements=BLOCK_VALUES)) for _ in range(2))
+    if data.draw(st.booleans()):
+        # points near the null cone, s*t^2 = r*x^2, each paired with itself:
+        # the n terms cancel, so the order of the TwoSums decides the last bits
+        u = v = u[:, :1] * [1.0, math.sqrt(sig.s / sig.r)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _block_inner(u, v, sig)
+        want = inner_product(*(np.repeat(a, (sig.s, sig.r), axis=-1) for a in (u, v)), sig)
+    assert got.shape == want.shape == (rows,)
+    assert (got.view(np.int64) == want.view(np.int64)).all()
 
 
 def test_inner_product_exact_oracle():
