@@ -18,7 +18,6 @@ are (n, n) arrays. It provides:
 """
 
 from .geometry import (
-    DEFAULT_TOL,
     CurveSpec,
     Signature,
     curve_derivative,
@@ -45,7 +44,6 @@ from .transform import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_TOL",
     "MAX_LIFT_ORDER",
     "CurveSpec",
     "IntegratorConfig",

@@ -66,11 +66,12 @@ def _sample_values(cfg: IntegratorConfig, blocks: np.ndarray) -> np.ndarray:
 
     Raises ValueError when a value is not finite, naming the limit hit: the
     residuals square the coordinates, so they overflow the float range first.
+    Run it under `np.errstate(over="ignore", invalid="ignore")` for one error
+    and no numpy warning.
     """
     sig, radius = cfg.spec.sig, cfg.spec.radius
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        form = _block_inner(blocks[:, :2], blocks[:, :2], sig) - radius * radius
-        ortho = _block_inner(blocks[:, :2], blocks[:, 2:], sig)
+    form = _block_inner(blocks[:, :2], blocks[:, :2], sig) - radius * radius
+    ortho = _block_inner(blocks[:, :2], blocks[:, 2:], sig)
     table = np.column_stack((cfg.grid(), blocks, form, ortho))
     if not np.isfinite(table).all():
         raise ValueError(
@@ -240,9 +241,7 @@ def _build_parser() -> _Parser:
                      help="quadric constant, repeatable (default 1.0)")
     ver.add_argument("--psi-start", type=float)
     ver.add_argument("--psi-end", type=float)
-    ver.add_argument("--samples", type=int, help="psi samples per cell")
     ver.add_argument("--steps", type=int, help="integrator intervals")
-    ver.add_argument("--tol", type=float)
     ver.add_argument("--seed", type=int)
     ver.add_argument("--inject-fault", choices=["r-eff"],
                      help="evaluate the curve with a wrong amplitude; the sweep "

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "DEFAULT_TOL",
     "Signature",
     "CurveSpec",
     "is_integer",
@@ -32,8 +31,6 @@ __all__ = [
     "point_at",
     "velocity_at",
 ]
-
-DEFAULT_TOL = 1e-9
 
 # Veltkamp's constant 2^27 + 1: splits a binary64 value into two halves
 # whose pairwise products are exact

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundle import bundle_dim, curve_lift
-from .geometry import (DEFAULT_TOL, CurveSpec, Signature, _tower, curve_derivative, inner_product,
-                       is_integer)
+from .geometry import CurveSpec, Signature, _tower, curve_derivative, inner_product, is_integer
 from .ode import (IntegratorConfig, check_resolved, check_span, closed_form_trajectory,
                   convergence_order, integrate, max_deviation)
 from .transform import apply, boost, isometry_defect, random_isometry
@@ -30,6 +29,7 @@ __all__ = ["DEFAULT_SEED", "Check", "CellReport", "run_cell_checks", "run_sweep"
 
 DEFAULT_SEED = 20260810
 
+_CLOSED_FORM_SAMPLES = 100
 _FD_PSI = np.linspace(-0.9, 0.9, 19)
 _LIFT_PSI = np.array([-0.8, 0.3, 0.9])
 _CONVERGENCE_STEPS = (60, 120, 240)
@@ -88,24 +88,16 @@ def _max_abs(arr: np.ndarray) -> float:
     return float(np.max(np.abs(arr)))
 
 
-def _cell_plan(sig, radius, psi_start, psi_end, samples, steps, tol, seed,
-               fault_r_eff) -> list:
+def _cell_plan(sig, radius, psi_start, psi_end, steps, seed, fault_r_eff) -> list:
     """Validate one cell's parameters; return its IntegratorConfigs at `steps`
     and at each of `_CONVERGENCE_STEPS`, whose spec is the one its curve is
     evaluated with.
 
     Raises ValueError for a cell the battery cannot serve, naming the limit.
     """
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    if tol == math.inf:
-        # the bounds scale with tol, and an infinite bound passes any residual
-        raise ValueError(f"tolerance must be finite, got {tol}")
     # numpy seeds a generator from non-negative integers only
     if not is_integer(seed) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    if samples < 2:
-        raise ValueError(f"need at least 2 psi samples, got {samples}")
     spec = CurveSpec(sig, radius)  # rejects a bad radius before any use of it
     # inner products sum squared coordinates: on the grid their partial sums
     # reach 2*s*r*(R*cosh(w*psi))^2, and the isometry images at |psi| <= 1 up
@@ -149,17 +141,17 @@ def _cell_plan(sig, radius, psi_start, psi_end, samples, steps, tol, seed,
     return cfgs
 
 
-def _closed_form_checks(spec: CurveSpec, r2: float, grid: np.ndarray, tol: float) -> list:
+def _closed_form_checks(spec: CurveSpec, r2: float, grid: np.ndarray) -> list:
     """The closed form's invariants on the grid; its velocity against a central difference."""
     sig = spec.sig
     pts, vel = _tower(spec, grid, (0, 1))
     h = 1e-5
     fd = (curve_derivative(spec, _FD_PSI + h, 0) - curve_derivative(spec, _FD_PSI - h, 0)) / (2 * h)
     return [
-        Check("quadric", _max_abs(inner_product(pts, pts, sig) - r2), tol * r2),
-        Check("orthogonality", _max_abs(inner_product(pts, vel, sig)), tol * r2),
+        Check("quadric", _max_abs(inner_product(pts, pts, sig) - r2), 1e-9 * r2),
+        Check("orthogonality", _max_abs(inner_product(pts, vel, sig)), 1e-9 * r2),
         Check("velocity_norm", _max_abs(inner_product(vel, vel, sig) + sig.s * sig.r * r2),
-              tol * sig.s * sig.r * r2),
+              1e-9 * sig.s * sig.r * r2),
         Check("uniformity", max(_block_spread(pts, sig.s), _block_spread(vel, sig.s)), 0.0),
         Check("velocity_fd", _max_abs(fd - curve_derivative(spec, _FD_PSI, 1)),
               1e-8 * max(1.0, sig.r * spec.r_eff)),
@@ -241,18 +233,16 @@ def run_cell_checks(
     radius: float,
     psi_start: float = -2.0,
     psi_end: float = 2.0,
-    samples: int = 100,
     steps: int = 2000,
-    tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
     fault_r_eff: bool = False,
 ) -> CellReport:
     """Run the full battery for one cell and report worst residuals."""
-    plan = _cell_plan(sig, radius, psi_start, psi_end, samples, steps, tol, seed, fault_r_eff)
+    plan = _cell_plan(sig, radius, psi_start, psi_end, steps, seed, fault_r_eff)
     cfg, r2 = plan[0], radius * radius
     rng = np.random.default_rng([seed, sig.s, sig.r, int(round(radius * 1e6))])
-    grid = np.linspace(psi_start, psi_end, samples)
-    checks = (_closed_form_checks(cfg.spec, r2, grid, tol) + _flow_checks(plan, r2)
+    grid = np.linspace(psi_start, psi_end, _CLOSED_FORM_SAMPLES)
+    checks = (_closed_form_checks(cfg.spec, r2, grid) + _flow_checks(plan, r2)
               + _bundle_checks(cfg.spec) + _isometry_checks(cfg, r2, rng))
     return CellReport(sig, radius, tuple(checks))
 

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -477,7 +478,7 @@ def test_dims_errors(capsys):
 
 
 def test_verify_small_grid_passes(capsys):
-    code = main(["verify", "--max-sig", "2", "--samples", "30", "--steps", "400"])
+    code = main(["verify", "--max-sig", "2", "--steps", "400"])
     out = capsys.readouterr().out
     assert code == 0
     assert "verification: 4/4 cells passed" in out
@@ -528,20 +529,19 @@ def test_verify_defaults_are_the_library_defaults(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "run_sweep", sweep)
     assert main(["verify", "--max-sig", "1"]) == 0
+    # every cell parameter spelled out as its flag, at the library's default
+    cell = {k: v for k, v in verify._CELL_DEFAULTS.items() if k != "fault_r_eff"}
+    flags = [f"--{k.replace('_', '-')}={v!r}" for k, v in cell.items()]
+    assert main(["verify", *flags, "--max-sig", "1", "--radius", "1.0"]) == 0
     # every check, worst residual and bound included, as the library computes it
-    assert swept == [run_sweep(max_sig=1)]
-    assert "verification: 1/1 cells passed" in capsys.readouterr().out
-
-
-def test_verify_rejects_zero_tolerance(capsys):
-    assert main(["verify", "--tol", "0"]) == 1
-    assert "tolerance" in capsys.readouterr().err
-
-
-def test_verify_rejects_infinite_tolerance(capsys):
-    # every bound that scales with the tolerance would pass any residual
-    assert main(["verify", "--max-sig", "1", "--tol", "inf"]) == 1
-    assert capsys.readouterr().err == "error: tolerance must be finite, got inf\n"
+    assert swept == [run_sweep(max_sig=1)] * 2
+    assert capsys.readouterr().out.count("verification: 1/1 cells passed") == 2
+    # and verify has a flag for each of those parameters and for no other setting
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert listed == {"--help", "--max-sig", "--radius", "--inject-fault", *(
+        f.partition("=")[0] for f in flags)}
 
 
 def test_verify_rejects_negative_seed_before_integrating(monkeypatch, capsys):
@@ -645,8 +645,7 @@ def test_unallocatable_steps_is_config_error(tmp_path, monkeypatch, capsys, comm
 
 def test_verify_fault_injection_fails(capsys):
     code = main([
-        "verify", "--max-sig", "2", "--samples", "30", "--steps", "1200",
-        "--inject-fault", "r-eff",
+        "verify", "--max-sig", "2", "--steps", "1200", "--inject-fault", "r-eff",
     ])
     out = capsys.readouterr().out
     assert code == 3
@@ -676,6 +675,10 @@ def test_closed_stdout_pipe_ends_quietly(max_sig):
 def test_missing_command_is_config_error(capsys):
     assert main([]) == 1
     assert "error" in capsys.readouterr().err
+    # verify's bounds and closed-form grid are fixed: no flag sets them
+    for flag, value in (("--tol", "1"), ("--samples", "5")):
+        assert main(["verify", flag, value]) == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_benchmark_tracer_sees_every_traced_layer(tmp_path):

@@ -14,7 +14,7 @@ from pseudohyp.verify import run_cell_checks, run_sweep
 
 
 def test_small_sweep_passes():
-    reports = run_sweep(max_sig=2, radii=(1.0, 2.0), samples=40, steps=400)
+    reports = run_sweep(max_sig=2, radii=(1.0, 2.0), steps=400)
     assert len(reports) == 2 * 2 * 2
     assert all(rep.passed for rep in reports)
     # ordered by (s, r, radius)
@@ -23,11 +23,11 @@ def test_small_sweep_passes():
 
 
 def test_report_names_unique_and_bounded():
-    rep = run_cell_checks(Signature(1, 1), 1.0, samples=30, steps=300)
+    rep = run_cell_checks(Signature(1, 1), 1.0, steps=300)
     names = [c.name for c in rep.checks]
     assert len(names) == len(set(names))
     assert "boost_translation" in names  # only present for the (1,1) cell
-    rep22 = run_cell_checks(Signature(2, 2), 1.0, samples=30, steps=300)
+    rep22 = run_cell_checks(Signature(2, 2), 1.0, steps=300)
     assert "boost_translation" not in [c.name for c in rep22.checks]
 
 
@@ -45,7 +45,7 @@ def test_every_check_is_the_recorded_one(name, sweep):
 
 
 def test_fault_injection_is_detected():
-    reports = run_sweep(max_sig=3, radii=(1.0,), samples=30, steps=1500, fault_r_eff=True)
+    reports = run_sweep(max_sig=3, radii=(1.0,), steps=1500, fault_r_eff=True)
     assert len(reports) == 9
     for rep in reports:
         r = rep.sig.r
@@ -61,10 +61,6 @@ def test_fault_injection_is_detected():
 
 
 def test_cell_checks_validation():
-    with pytest.raises(ValueError):
-        run_cell_checks(Signature(1, 1), 1.0, tol=0.0)
-    with pytest.raises(ValueError):
-        run_cell_checks(Signature(1, 1), 1.0, samples=1)
     with pytest.raises(ValueError):
         run_sweep(max_sig=0)
 
@@ -111,8 +107,10 @@ def test_sweep_validates_every_cell_before_integrating(monkeypatch):
     # (1,1) and (1,2) are served, and (2,2) is the first cell whose cap 1e150 exceeds
     with pytest.raises(ValueError, match=r"\(s, r\) = \(2, 2\)"):
         run_sweep(max_sig=2, radii=(1e150,))
-    with pytest.raises(TypeError, match="stepz"):
-        run_sweep(max_sig=1, stepz=10)
+    # the closed-form grid and its bounds are fixed, not settings
+    for unknown in ("stepz", "tol", "samples"):
+        with pytest.raises(TypeError, match=unknown):
+            run_sweep(max_sig=1, **{unknown: 10})
 
 
 def test_sweep_stops_at_the_first_unservable_cell(monkeypatch):
