@@ -172,9 +172,12 @@ def _block_tower(spec: CurveSpec, psi, orders) -> list[np.ndarray]:
     if min(orders) < 0:
         raise ValueError(f"derivative order must be non-negative, got {min(orders)}")
     sig, w = spec.sig, spec.frequency
-    arg = w * np.asarray(psi, dtype=float)
+    with np.errstate(over="ignore"):  # an infinite w*psi is the one error raised below
+        arg = w * np.asarray(psi, dtype=float)
     flat = arg.ravel().tolist()
     try:
+        if np.isinf(arg).any():  # math.sinh(inf) is inf, not an OverflowError
+            raise OverflowError
         sinh = np.fromiter(map(math.sinh, flat), float, len(flat))
         cosh = np.fromiter(map(math.cosh, flat), float, len(flat))
     except OverflowError as exc:

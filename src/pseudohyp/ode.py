@@ -84,15 +84,15 @@ def check_resolved(cfg: IntegratorConfig, remedy: str = "use more --steps") -> N
     """Raise ValueError when the RK4 step is too coarse to resolve the curve.
 
     The flow has the modes e^(+-w*psi), w = sqrt(s*r). One RK4 step of size h
-    multiplies the decaying one by R4(-h*w), R4(z) = 1 + z + z^2/2 + z^3/6 +
-    z^4/24; once |R4(-h*w)| >= 1 it grows instead (h*w >= about 2.785). The
-    message ends in `remedy`.
+    multiplies the decaying one by R4(-h*w) > 0, R4(z) = 1 + z + z^2/2 + z^3/6 +
+    z^4/24. R4(-x) - 1 = x*(x^3 - 4x^2 + 12x - 24)/24 with an increasing cubic,
+    so the mode grows exactly for h*w >= x* = 2.78529356340528162..., its root.
+    The limit is the largest double below x*; the message ends in `remedy`.
     """
-    z = -abs(cfg.step) * cfg.spec.frequency
-    # z**4 overflows past |z| = 1.2e77 and R4 is NaN at -inf; steps that large are unresolved
-    if z != 0 and (-z >= 1e77 or abs(1 + z + z * z / 2 + z**3 / 6 + z**4 / 24) >= 1):
+    hw = abs(cfg.step) * cfg.spec.frequency
+    if hw > 2.7852935634052813:
         raise ValueError(
-            f"integrated step h*sqrt(s*r) = {-z:g} is too coarse to resolve the curve: "
+            f"integrated step h*sqrt(s*r) = {hw:g} is too coarse to resolve the curve: "
             f"RK4 needs |R4(-h*sqrt(s*r))| < 1, that is h*sqrt(s*r) below about 2.785; {remedy}"
         )
 
@@ -174,12 +174,13 @@ def max_deviation(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b), initial=0.0))
 
 
-def check_span(psi_start: float, psi_end: float) -> None:
-    """Raise ValueError when [psi_start, psi_end] has zero length, which leaves no step to fit."""
-    if psi_start == psi_end:
-        raise ValueError(
-            f"a slope fit needs a step size above zero, got psi_start == psi_end == {psi_start:g}"
-        )
+def check_span(cfg: IntegratorConfig) -> None:
+    """Raise ValueError on a zero step (zero length or underflow), whose log a slope fit needs."""
+    if cfg.step == 0:
+        a, b = cfg.psi_start, cfg.psi_end
+        got = (f"psi_start == psi_end == {a:g}" if a == b else
+               f"[{a:g}, {b:g}] over {cfg.steps} steps, whose step underflows to 0")
+        raise ValueError(f"a slope fit needs a step size above zero, got {got}")
 
 
 def convergence_order(cfgs, flows) -> float:
@@ -195,7 +196,7 @@ def convergence_order(cfgs, flows) -> float:
     if len(runs) < 3:
         raise ValueError("need at least 3 step counts for a slope fit")
     for cfg, _ in runs:
-        check_span(cfg.psi_start, cfg.psi_end)
+        check_span(cfg)
     hs = [abs(cfg.step) for cfg, _ in runs]
     devs = [max(max_deviation(flow, closed_form_trajectory(cfg)), 1e-300) for cfg, flow in runs]
     slope, _ = np.polyfit(np.log(hs), np.log(devs), 1)

@@ -130,14 +130,13 @@ def _cell_plan(sig, radius, psi_start, psi_end, steps, seed, fault_r_eff) -> lis
     if fault_r_eff:
         spec = CurveSpec(sig, radius * math.sqrt(sig.r))
     cfgs = [IntegratorConfig(psi_start, psi_end, k, spec) for k in (steps, *_CONVERGENCE_STEPS)]
-    # the bound above assumes every step count the cell integrates is resolved
+    # the bound above assumes every count is resolved; finer fit runs are when the coarsest is
     check_resolved(cfgs[0])
-    for k, cfg in zip(_CONVERGENCE_STEPS, cfgs[1:]):
-        check_resolved(cfg, f"the convergence fit's {k}-step run does not change with --steps, "
-                            "so the psi range must narrow")
+    check_resolved(cfgs[1], f"the convergence fit's {cfgs[1].steps}-step run does not change "
+                            "with --steps, so the psi range must narrow")
     if radius > flow_max:
         raise flow_error
-    check_span(psi_start, psi_end)
+    check_span(cfgs[-1])  # the finest fit run has the smallest step
     return cfgs
 
 

@@ -1,5 +1,6 @@
 """Tests for the command-line interface and its export formats."""
 
+import contextlib
 import csv
 import importlib.util
 import io
@@ -10,6 +11,7 @@ import re
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 import warnings
@@ -17,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pseudohyp import (CurveSpec, IntegratorConfig, Signature, closed_form_trajectory,
                        inner_product, integrate)
@@ -319,6 +323,11 @@ def test_generate_rejects_unresolved_integrated_step(tmp_path, capsys):
     assert main([*coarse, "--mode", "integrated", "--psi-end", "2.7"]) == 0
     assert main([*coarse, "--mode", "integrated", "--psi-end", "2.9"]) == 1
     assert main([*coarse, "--mode", "closed_form", "--psi-end", "2.9"]) == 0
+    # h*sqrt(s*r) = 1e-17 is resolved: R4 in floats rounded it to 1, which
+    # once asked for more --steps
+    assert main(["generate", "--sig", "1,1", "--mode", "integrated", "--psi-start", "0",
+                 "--psi-end", "1e-15", "--steps", "100", "--out", str(out)]) == 0
+    assert read_csv(out)[1].shape[0] == 101
 
 
 def test_generate_integrated_overflow_is_only_reported(tmp_path, capsys):
@@ -379,22 +388,32 @@ def test_generate_names_the_residual_overflow(tmp_path, capsys):
 def test_generate_names_the_coarse_step_before_integrating(tmp_path, monkeypatch, capsys):
     # h*sqrt(s*r) = 100.03 is far too coarse for RK4; the curve overflows on
     # this range as well, which no step count mends, so both are named. At
-    # 1e79, R4(-h*sqrt(s*r)) itself overflows, which once ended the run with
-    # a bare "Numerical result out of range"
+    # 1e79, R4(-h*sqrt(s*r)) in floats overflowed, which once ended the run
+    # with a bare "Numerical result out of range". At (2,3) and psi 1e308,
+    # w*psi itself is inf, where math.sinh raises nothing: the probe once
+    # warned of numpy's overflow and lost the overflow clause
     def unreachable(*args):
         raise AssertionError("integrated an unresolved grid")
 
     # generate integrates through the block producer only
     monkeypatch.setattr(cli, "_integrate_blocks", unreachable)
     out = tmp_path / "traj.csv"
-    for start, end, steps, step in (("-3", "10000", "100", "100.03"),
-                                    ("0", "1e80", "10", "1e+79")):
-        assert main(["generate", "--sig", "1,1", "--mode", "integrated", "--psi-start", start,
-                     "--psi-end", end, "--steps", steps, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert f"h*sqrt(s*r) = {step} is too coarse" in err
-        assert f"exceeds about 710, got {float(end):g}" in err
-        assert not out.exists()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv, step, got in (
+            (["--sig", "1,1", "--psi-start", "-3", "--psi-end", "10000", "--steps", "100"],
+             "100.03", "10000"),
+            (["--sig", "1,1", "--psi-start", "0", "--psi-end", "1e80", "--steps", "10"],
+             "1e+79", "1e+80"),
+            (["--sig", "2,3", "--radius", "710", "--psi-start=1e308", "--psi-end=-0.0",
+              "--steps", "2"], "1.22474e+308", "inf"),
+        ):
+            assert main(["generate", "--mode", "integrated", *argv, "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert f"h*sqrt(s*r) = {step} is too coarse" in err and err.count("\n") == 1
+            assert err.endswith(f"; and the curve overflows once |psi|*sqrt(s*r) exceeds "
+                                f"about 710, got {got}\n")
+            assert not out.exists()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -621,11 +640,63 @@ def test_verify_rejects_unresolved_convergence_fit(capsys):
      "sqrt(s*r) * R * exp(sqrt(s*r) * max(|psi|, 1)) must stay below 1e+152, so that the inner "
      "products stay finite; for (s, r) = (2, 2) and |psi| up to 2 that caps the radius at "
      "9.15782e+149, got 1e+150"),
-], ids=["zero-length", "radius-cap"])
+    # 4.9e-324 over 240 steps underflows to a step of 0, whose log the fit
+    # cannot take; a wrong "too coarse" once hid it
+    (["--psi-start=5e-324", "--psi-end=0.0", "--steps", "1"],
+     "a slope fit needs a step size above zero, got [4.94066e-324, 0] over 240 steps, "
+     "whose step underflows to 0"),
+], ids=["zero-length", "radius-cap", "underflowing-step"])
 def test_verify_reports_the_first_cell_error(capsys, argv, message):
     assert main(["verify", "--max-sig", "2", *argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+# each float flag takes a value at an edge of the float range or of the curve's
+# range, or an ordinary one; --steps stays at 1000 and --max-sig at 2 or below,
+# so that no draw allocates much or runs long
+_FLOAT = st.one_of(st.sampled_from(["nan", "inf", "-inf", "0.0", "-0.0", "5e-324", "1e200",
+                                    "-1e200", "1e308", "-1e308", "355", "710"]),
+                   st.floats(-4.0, 4.0).map(repr))
+_SHARED = {"radius": _FLOAT, "psi-start": _FLOAT, "psi-end": _FLOAT}
+_STEPS = st.one_of(st.sampled_from(["-1", "0", "1", "2", "1.5"]), st.integers(3, 1000).map(str))
+_ARGV = st.one_of(
+    st.fixed_dictionaries(
+        {"sig": st.sampled_from(["1,1", "2,3", "4,4", "0,2", "1", "a,b", "1,1,1"]),
+         "steps": _STEPS},
+        optional={**_SHARED, "mode": st.sampled_from(["closed_form", "integrated"]),
+                  "format": st.sampled_from(["csv", "json"])},
+    ).map(lambda flags: ["generate", *(f"--{k}={v}" for k, v in flags.items())]),
+    st.fixed_dictionaries(
+        {"max-sig": st.sampled_from(["-1", "0", "1", "2"]), "steps": _STEPS},
+        optional={**_SHARED, "seed": st.sampled_from(["-1", "0", "7"]),
+                  "inject-fault": st.just("r-eff")},
+    ).map(lambda flags: ["verify", *(f"--{k}={v}" for k, v in flags.items())]),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@example(["generate", "--sig", "2,3", "--radius", "710", "--psi-start=1e308", "--psi-end=-0.0",
+          "--steps", "2", "--mode", "integrated"])
+@given(_ARGV)
+def test_cli_contract_holds_on_drawn_argv(argv):
+    # every exit is a contract code; a configuration error is one line of
+    # stderr; nothing warns; a failed generate leaves neither its file nor a
+    # temporary one behind
+    with tempfile.TemporaryDirectory() as tmp:
+        if argv[0] == "generate":
+            argv = [*argv, "--out", os.path.join(tmp, "traj")]
+        err = io.StringIO()
+        with (warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(err)):
+            warnings.simplefilter("error")
+            code = main(argv)
+        text = err.getvalue()
+        assert code in (0, 1, 2, 3)
+        if code == 1:
+            assert text.startswith("error: ") and text.endswith("\n") and text.count("\n") == 1
+        if code != 0 and argv[0] == "generate":
+            assert os.listdir(tmp) == []
 
 
 @pytest.mark.parametrize("command", [

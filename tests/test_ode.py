@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -102,10 +103,15 @@ def test_grid_over_a_span_past_the_float_range_is_finite():
 
 
 def test_check_resolved_decides_at_the_rk4_threshold():
-    # |R4(-h*w)| = 1 at h*w = 2.78529356340528162..., between two adjacent
-    # doubles; with w = 1 and one step, h*w is the interval itself
+    # R4(-x) = 1 at x(x^3 - 4x^2 + 12x - 24) = 0, whose one positive root
+    # 2.78529356340528162... lies between two adjacent doubles; with w = 1 and
+    # one step, h*w is the interval itself. Steps below 2^-54, which R4 in
+    # floats rounds to 1, are resolved too
     last = 2.7852935634052813
-    for hw in (1e-3, 1.0, 2.7, last):
+    with mpmath.workdps(50):
+        root = mpmath.findroot(lambda x: x**3 - 4 * x**2 + 12 * x - 24, 2.785)
+        assert mpmath.mpf(last) < root < mpmath.mpf(math.nextafter(last, 3.0))
+    for hw in (0.0, 5e-324, 1e-300, 5e-17, 1e-3, 1.0, 2.7, last):
         check_resolved(IntegratorConfig(0.0, hw, 1, spec11()))
     for hw in (math.nextafter(last, 3.0), 2.9, 1e3, 1e77):
         with pytest.raises(ValueError, match="too coarse"):
@@ -113,9 +119,9 @@ def test_check_resolved_decides_at_the_rk4_threshold():
 
 
 def test_check_resolved_rejects_steps_past_the_float_range():
-    # z**4 overflows once |h*w| is above about 1.2e77, and an infinite step
-    # makes R4 inf - inf, NaN; both are unresolved, not an OverflowError or
-    # a pass
+    # one comparison with the limit decides every step: past 1.2e77, where
+    # R4's z**4 in floats overflowed, and at an infinite step, where R4 was
+    # inf - inf, NaN; both are unresolved, not an OverflowError or a pass
     for start, end in ((0.0, 1e80), (-1e308, 1e308)):
         with pytest.raises(ValueError, match="too coarse"):
             check_resolved(IntegratorConfig(start, end, 10, spec11()))
@@ -303,6 +309,9 @@ def test_convergence_order_needs_three_counts():
         convergence_order(*runs(spec11(), 0.0, 1.0, (100, 200)))
     with pytest.raises(ValueError, match="psi_start == psi_end"):
         convergence_order(*runs(spec11(), 5.0, 5.0, (60, 120, 240)))
+    # a span of one subnormal has a step of 0 at every count, whose log is -inf
+    with pytest.raises(ValueError, match="0] over 60 steps, whose step underflows to 0"):
+        convergence_order(*runs(spec11(), 5e-324, 0.0, (60, 120, 240)))
 
 
 def reference_rhs(y, sig, block_sum=np.sum):
