@@ -12,6 +12,7 @@ import csv
 import json
 import os
 import sys
+from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -217,6 +218,7 @@ def cmd_dims(args) -> int:
     return 0
 
 
+@cache  # built once per process: parse_args keeps no state in the parser
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pseudohyp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

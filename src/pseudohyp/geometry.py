@@ -171,7 +171,7 @@ def _block_tower(spec: CurveSpec, psi, orders) -> list[np.ndarray]:
     values, time-like then space-like, from one sinh and one cosh per sample."""
     if min(orders) < 0:
         raise ValueError(f"derivative order must be non-negative, got {min(orders)}")
-    sig, w = spec.sig, spec.frequency
+    sig, w, r_eff = spec.sig, spec.frequency, spec.r_eff
     with np.errstate(over="ignore"):  # an infinite w*psi is the one error raised below
         arg = w * np.asarray(psi, dtype=float)
     flat = arg.ravel().tolist()
@@ -188,12 +188,14 @@ def _block_tower(spec: CurveSpec, psi, orders) -> list[np.ndarray]:
     tower = []
     for m in orders:
         power = (sig.s * sig.r) ** (m // 2)
+        table = np.empty((len(flat), 2))
         if m % 2 == 0:
-            blocks = (math.sqrt(sig.r / sig.s) * spec.r_eff * power * sinh,
-                      spec.r_eff * power * cosh)
+            np.multiply(math.sqrt(sig.r / sig.s) * r_eff * power, sinh, out=table[:, 0])
+            np.multiply(r_eff * power, cosh, out=table[:, 1])
         else:
-            blocks = (sig.r * spec.r_eff * power * cosh, w * spec.r_eff * power * sinh)
-        tower.append(np.stack(blocks, axis=-1).reshape(arg.shape + (2,)))
+            np.multiply(sig.r * r_eff * power, cosh, out=table[:, 0])
+            np.multiply(w * r_eff * power, sinh, out=table[:, 1])
+        tower.append(table.reshape(arg.shape + (2,)))
     return tower
 
 

@@ -117,8 +117,8 @@ def _integrate_blocks(cfg: IntegratorConfig) -> np.ndarray:
     # t is -0.0 from a psi_start of -0.0 (and stays so if the step underflows
     # to -0.0), where a sum of its block is +0.0; x stays positive
     dt, dx = cr * x, cs * t + 0.0
-    ts, xs = array("d", (t,)), array("d", (x,))
-    for _ in range(steps):
+    ts, xs = array("d", (t,)) * (steps + 1), array("d", (x,)) * (steps + 1)
+    for k in range(1, steps + 1):
         # the first stage is the velocity already recorded for this sample
         dt2, dx2 = cr * (x + half * dx), cs * (t + half * dt)
         dt3, dx3 = cr * (x + half * dx2), cs * (t + half * dt2)
@@ -126,8 +126,8 @@ def _integrate_blocks(cfg: IntegratorConfig) -> np.ndarray:
         t += sixth * (dt + 2.0 * dt2 + 2.0 * dt3 + dt4)
         x += sixth * (dx + 2.0 * dx2 + 2.0 * dx3 + dx4)
         dt, dx = cr * x, cs * t + 0.0
-        ts.append(t)
-        xs.append(x)
+        ts[k] = t
+        xs[k] = x
     table[:, 0], table[:, 1] = ts, xs
     # the loop's velocities, by the same IEEE operations
     table[:, 2], table[:, 3] = cr * table[:, 1], cs * table[:, 0] + 0.0

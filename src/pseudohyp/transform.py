@@ -11,6 +11,7 @@ generate the maps used here; compose them with @, starting from np.eye(n).
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
@@ -28,9 +29,16 @@ _MAX_GENERATORS = 5
 _MAX_RAPIDITY = 0.6
 
 
+@cache
+def _eye(n: int) -> np.ndarray:
+    eye = np.eye(n)
+    eye.flags.writeable = False  # maps are copies of it, so none can write into the cache
+    return eye
+
+
 def _plane(n: int, a: int, b: int, c: float, s_ab: float, s_ba: float) -> np.ndarray:
     # the identity with the block [[c, s_ab], [s_ba, c]] in the plane of axes a and b
-    m = np.eye(n)
+    m = _eye(n).copy()
     m[a, a] = m[b, b] = c
     m[a, b] = s_ab
     m[b, a] = s_ba
@@ -93,7 +101,7 @@ def apply(m: np.ndarray, x) -> np.ndarray:
 
 def isometry_defect(m: np.ndarray, sig: Signature) -> float:
     """Max-norm of M^T eta M - eta over a map (n, n) or a stack (..., n, n),
-    which is the largest of its maps' defects; zero for exact isometries of `sig`."""
+    the largest of its maps' defects (0.0 for none); zero for exact isometries of `sig`."""
     m = np.asarray(m, dtype=float)
     if m.shape[-2:] != (sig.n, sig.n):
         raise ValueError(
@@ -101,7 +109,7 @@ def isometry_defect(m: np.ndarray, sig: Signature) -> float:
             f"({sig.s},{sig.r}), got shape {m.shape}"
         )
     eta = np.diag(sig.signs)
-    return float(np.max(np.abs(np.swapaxes(m, -1, -2) @ eta @ m - eta)))
+    return float(np.max(np.abs(np.swapaxes(m, -1, -2) @ eta @ m - eta), initial=0.0))
 
 
 def random_isometry(sig: Signature, rng) -> np.ndarray:
@@ -109,16 +117,12 @@ def random_isometry(sig: Signature, rng) -> np.ndarray:
 
     Rotations get a uniform angle, boosts a rapidity in [-0.6, 0.6].
     """
-    m = np.eye(sig.n)
-    blocks = []
-    if sig.s >= 2:
-        blocks.append((0, sig.s))
-    if sig.r >= 2:
-        blocks.append((sig.s, sig.n))
+    m = _eye(sig.n)
+    blocks = [axes for axes in (np.arange(sig.s), np.arange(sig.s, sig.n)) if len(axes) >= 2]
     for _ in range(int(rng.integers(1, _MAX_GENERATORS + 1))):
         if blocks and rng.random() < 0.5:
-            lo, hi = blocks[int(rng.integers(0, len(blocks)))]
-            a1, a2 = rng.choice(np.arange(lo, hi), size=2, replace=False)
+            axes = blocks[int(rng.integers(0, len(blocks)))]
+            a1, a2 = rng.choice(axes, size=2, replace=False)
             g = block_rotation(sig, int(a1), int(a2), float(rng.uniform(-math.pi, math.pi)))
         else:
             ti = int(rng.integers(0, sig.s))

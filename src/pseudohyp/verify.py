@@ -80,7 +80,8 @@ class CellReport:
 def _block_spread(arr: np.ndarray, s: int) -> float:
     # 0.0 exactly when each block is bitwise uniform: -0.0 beside +0.0 differ
     # by 0.0 yet print apart, so a difference in sign alone reads 1.0
-    heads = np.repeat(arr[..., [0, s]], (s, arr.shape[-1] - s), axis=-1)
+    heads = np.empty_like(arr)
+    heads[..., :s], heads[..., s:] = arr[..., :1], arr[..., s : s + 1]
     return _max_abs(arr - heads) or float(np.any(np.signbit(arr) != np.signbit(heads)))
 
 
@@ -258,8 +259,11 @@ def run_sweep(max_sig: int = 4, radii=(1.0,), **cell):
     cell. Returns one CellReport per (s, r, radius), ordered by (s, r, radius).
     Every cell is validated before any is integrated.
     """
-    if max_sig < 1:
-        raise ValueError(f"max_sig must be at least 1, got {max_sig}")
+    if not is_integer(max_sig) or max_sig < 1:
+        raise ValueError(f"max_sig must be an integer of at least 1, got {max_sig!r}")
+    values = [float(radius) for radius in radii]
+    if not values:
+        raise ValueError(f"radii must hold at least one radius, got {radii!r}")
     unknown = sorted(cell.keys() - _CELL_DEFAULTS.keys())
     if unknown:
         raise TypeError(f"run_cell_checks() got unexpected keyword arguments {unknown}")
@@ -269,7 +273,7 @@ def run_sweep(max_sig: int = 4, radii=(1.0,), **cell):
     for s in range(1, max_sig + 1):
         for r in range(1, max_sig + 1):
             sig = Signature(s, r)
-            for radius in map(float, radii):
+            for radius in values:
                 _cell_plan(sig, radius, **p)
                 cells.append((sig, radius))
     return [run_cell_checks(sig, radius, **cell) for sig, radius in cells]

@@ -563,6 +563,24 @@ def test_verify_defaults_are_the_library_defaults(monkeypatch, capsys):
         f.partition("=")[0] for f in flags)}
 
 
+def test_main_keeps_no_state_between_calls(monkeypatch, capsys):
+    # main reuses one parser per process; a flag or an error of one call
+    # must not reach the next
+    swept = []
+
+    def sweep(**flags):
+        swept.append(run_sweep(**flags))
+        return swept[-1]
+
+    monkeypatch.setattr(cli, "run_sweep", sweep)
+    assert main(["verify", "--max-sig", "1", "--steps", "500"]) == 0
+    assert main(["verify", "--max-sig", "1", "--steps", "5x"]) == 1
+    assert "invalid int value: '5x'" in capsys.readouterr().err
+    assert main(["verify", "--max-sig", "1"]) == 0
+    assert len(swept) == 2 and swept[0] != swept[1]
+    assert swept[1] == run_sweep(max_sig=1)
+
+
 def test_verify_rejects_negative_seed_before_integrating(monkeypatch, capsys):
     def unreachable(*args):
         raise AssertionError("integrated before the seed was validated")

@@ -16,7 +16,7 @@ from pseudohyp import (
     point_at,
     velocity_at,
 )
-from pseudohyp.geometry import _block_inner
+from pseudohyp.geometry import _block_inner, _block_tower
 
 SIGS = [Signature(s, r) for s in range(1, 5) for r in range(1, 5)]
 RADII = (0.5, 1.0, 2.0)
@@ -228,6 +228,38 @@ def test_point_uniformity_bitwise():
                 assert np.all(block == block[0])
             for block in np.split(velocity_at(psi, spec), [sig.s]):
                 assert np.all(block == block[0])
+
+
+def _stacked_tower(spec, psi, orders):
+    # _block_tower's former assembly: each order's two blocks joined by np.stack
+    sig, w = spec.sig, spec.frequency
+    arg = w * np.asarray(psi, dtype=float)
+    flat = arg.ravel().tolist()
+    sinh, cosh = np.array([math.sinh(a) for a in flat]), np.array([math.cosh(a) for a in flat])
+    tower = []
+    for m in orders:
+        power = (sig.s * sig.r) ** (m // 2)
+        if m % 2 == 0:
+            blocks = (math.sqrt(sig.r / sig.s) * spec.r_eff * power * sinh,
+                      spec.r_eff * power * cosh)
+        else:
+            blocks = (sig.r * spec.r_eff * power * cosh, w * spec.r_eff * power * sinh)
+        tower.append(np.stack(blocks, axis=-1).reshape(arg.shape + (2,)))
+    return tower
+
+
+def test_block_tower_matches_the_stacked_form_bitwise():
+    lift_psi = np.array([-0.8, 0.3, 0.9])
+    # a scalar, (k,), the lift's (2, k) at +-hh, an empty array, -0.0 and NaN
+    psis = (0.3, lift_psi, lift_psi + [[1e-4], [-1e-4]], np.array([]), -0.0, math.nan)
+    for sig in map(Signature, (1, 1, 2, 3, 4), (1, 3, 3, 2, 4)):
+        for radius in (0.5, 1.3, 2.0):
+            spec = CurveSpec(sig, radius)
+            for psi in psis:
+                want = _stacked_tower(spec, psi, range(5))
+                for got, ref in zip(_block_tower(spec, psi, range(5)), want, strict=True):
+                    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    assert _block_tower(spec, np.array([]), (0, 1))[1].shape == (0, 2)
 
 
 def test_velocity_base_case_bitwise():

@@ -102,6 +102,49 @@ def test_generators_match_the_identity_fill_bytewise():
                             assert block_rotation(sig, i, j, x).tobytes() == want.tobytes()
 
 
+def _reference_isometry(sig, rng):
+    # random_isometry's draws, in its order, composed from a fresh identity
+    m = np.eye(sig.n)
+    blocks = [(lo, hi) for lo, hi in ((0, sig.s), (sig.s, sig.n)) if hi - lo >= 2]
+    for _ in range(int(rng.integers(1, 6))):
+        if blocks and rng.random() < 0.5:
+            lo, hi = blocks[int(rng.integers(0, len(blocks)))]
+            a1, a2 = rng.choice(np.arange(lo, hi), size=2, replace=False)
+            g = block_rotation(sig, int(a1), int(a2), float(rng.uniform(-math.pi, math.pi)))
+        else:
+            ti, xj = int(rng.integers(0, sig.s)), int(rng.integers(sig.s, sig.n))
+            g = boost(sig, ti, xj, float(rng.uniform(-0.6, 0.6)))
+        m = g @ m
+    return m
+
+
+def test_random_isometry_matches_the_reference_composition_bitwise():
+    for seed in (3, 17, 2026):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for s in range(1, 9):
+            for r in range(1, 9):
+                sig = Signature(s, r)
+                for _ in range(3):
+                    assert (random_isometry(sig, got_rng).tobytes()
+                            == _reference_isometry(sig, want_rng).tobytes())
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_returned_maps_share_no_memory():
+    # the generators start from a cached identity; writing into any map they
+    # return must not reach the next one
+    sig = Signature(2, 3)
+
+    def make():
+        return [boost(sig, 0, 3, 0.0), block_rotation(sig, 2, 4, 0.0),
+                random_isometry(sig, np.random.default_rng(5))]
+
+    want = [m.tobytes() for m in make()]
+    for k in range(3):
+        make()[k][...] = 7.0
+        assert [m.tobytes() for m in make()] == want
+
+
 def test_rotation_zero_angle_is_identity():
     m = block_rotation(Signature(1, 3), 1, 3, 0.0)
     assert np.array_equal(m, np.eye(4))
@@ -232,6 +275,8 @@ def test_stacked_defect_is_the_largest_per_map_defect():
             want = max(each)
             assert isometry_defect(maps, sig) == want
             assert isometry_defect(maps.reshape(2, 3, sig.n, sig.n), sig) == want
+            # and the largest defect of no maps is 0.0
+            assert isometry_defect(maps[:0], sig) == 0.0
 
 
 def test_stack_of_one_scaled_map_reports_its_defect():

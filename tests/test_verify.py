@@ -63,6 +63,14 @@ def test_fault_injection_is_detected():
 def test_cell_checks_validation():
     with pytest.raises(ValueError):
         run_sweep(max_sig=0)
+    # a bool or a float is no signature count, and a sweep over no radius checks nothing
+    for max_sig in (True, 1.5):
+        with pytest.raises(ValueError, match=f"max_sig must be an integer.*got {max_sig}"):
+            run_sweep(max_sig=max_sig)
+    with pytest.raises(ValueError, match=r"at least one radius, got \(\)"):
+        run_sweep(max_sig=1, radii=())
+    # radii given as an iterator reach every signature, not only the first
+    assert len(run_sweep(max_sig=np.int64(2), radii=iter([1.0]), steps=400)) == 4
 
 
 def test_boost_translation_bound_scales_with_radius():
