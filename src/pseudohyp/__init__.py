@@ -22,8 +22,6 @@ from .geometry import (
     Signature,
     curve_derivative,
     inner_product,
-    point_at,
-    velocity_at,
 )
 from .ode import (
     IntegratorConfig,
@@ -60,7 +58,5 @@ __all__ = [
     "integrate",
     "isometry_defect",
     "max_deviation",
-    "point_at",
     "random_isometry",
-    "velocity_at",
 ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import CurveSpec, _tower, curve_derivative
+from .geometry import CurveSpec, _tower, curve_derivative, is_integer
 
 __all__ = [
     "MAX_LIFT_ORDER",
@@ -32,10 +32,11 @@ _DIM_LIMIT = 2**62
 
 def bundle_dim(n: int, p: int) -> int:
     """Coordinate count 2^p * n of an order-p element over an n-manifold."""
-    if n < 1:
-        raise ValueError(f"manifold dimension must be positive, got {n}")
-    if p < 0:
-        raise ValueError(f"bundle order must be non-negative, got {p}")
+    if not is_integer(n) or n < 1:
+        raise ValueError(f"manifold dimension must be a positive integer, got {n!r}")
+    if not is_integer(p) or p < 0:
+        raise ValueError(f"bundle order must be a non-negative integer, got {p!r}")
+    n, p = int(n), int(p)  # a numpy integer would wrap past 2^63 before the check below
     if p >= 63 or (1 << p) * n > _DIM_LIMIT:
         raise OverflowError(f"bundle dimension 2^{p} * {n} overflows any practical size")
     return (1 << p) * n
@@ -50,8 +51,8 @@ def curve_lift(spec: CurveSpec, psi, order: int) -> np.ndarray:
     is the lift one order down exactly. Orders above `MAX_LIFT_ORDER` are
     rejected (the flat size doubles per order).
     """
-    if order < 0:
-        raise ValueError(f"lift order must be non-negative, got {order}")
+    if not is_integer(order) or order < 0:
+        raise ValueError(f"lift order must be a non-negative integer, got {order!r}")
     if order > MAX_LIFT_ORDER:
         raise ValueError(f"lift order {order} above cap {MAX_LIFT_ORDER}")
     tower = _tower(spec, psi, range(order + 1))

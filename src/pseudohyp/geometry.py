@@ -5,9 +5,9 @@ Points and tangent vectors are plain arrays of n = s + r coordinates, laid
 out as [t-block | x-block]: s time-like axes carrying weight -1 in the
 product, followed by r space-like axes carrying weight +1. The quadric of
 constant R is the set -sum(t_i^2) + sum(x_j^2) = R^2, and the curve family
-produced by `point_at` stays on it for every parameter value.
-`curve_derivative` and `inner_product` also work on whole arrays of samples,
-one row each.
+whose points `curve_derivative(spec, psi, 0)` gives stays on it for every
+parameter value. `curve_derivative` and `inner_product` also work on whole
+arrays of samples, one row each.
 
 Everything here is a pure function of its inputs; values can be shared freely
 across threads.
@@ -28,8 +28,6 @@ __all__ = [
     "is_integer",
     "inner_product",
     "curve_derivative",
-    "point_at",
-    "velocity_at",
 ]
 
 # Veltkamp's constant 2^27 + 1: splits a binary64 value into two halves
@@ -39,7 +37,9 @@ _SPLITTER = 134217729.0
 
 def is_integer(value) -> bool:
     """True for an integer of any integral type (Python or numpy), not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # a plain int first: the curve's orders are checked on every evaluation
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
 
 
 @dataclass(frozen=True)
@@ -169,8 +169,9 @@ def _block_inner(u, v, sig: Signature):
 def _block_tower(spec: CurveSpec, psi, orders) -> list[np.ndarray]:
     """The derivatives of the listed orders at psi, each as (..., 2) block
     values, time-like then space-like, from one sinh and one cosh per sample."""
-    if min(orders) < 0:
-        raise ValueError(f"derivative order must be non-negative, got {min(orders)}")
+    for m in orders:
+        if not is_integer(m) or m < 0:
+            raise ValueError(f"derivative order must be a non-negative integer, got {m!r}")
     sig, w, r_eff = spec.sig, spec.frequency, spec.r_eff
     with np.errstate(over="ignore"):  # an infinite w*psi is the one error raised below
         arg = w * np.asarray(psi, dtype=float)
@@ -220,19 +221,10 @@ def curve_derivative(spec: CurveSpec, psi, m: int) -> np.ndarray:
 
 
 def point_at(psi: float, spec: CurveSpec) -> np.ndarray:
-    """Point of the uniform curve at parameter psi, an (n,) array.
-
-    Every time-like coordinate equals sqrt(r/s) * R_eff * sinh(sqrt(s*r)*psi)
-    and every space-like coordinate equals R_eff * cosh(sqrt(s*r)*psi).
-    """
+    """`curve_derivative(spec, psi, 0)`; kept only since perfbench's `TRACED` reads it by name."""
     return curve_derivative(spec, psi, 0)
 
 
 def velocity_at(psi: float, spec: CurveSpec) -> np.ndarray:
-    """Parameter derivative of `point_at`, an (n,) array.
-
-    Time-like components are r * R_eff * cosh(sqrt(s*r)*psi), space-like
-    components sqrt(s*r) * R_eff * sinh(sqrt(s*r)*psi). The result is
-    orthogonal to the point in the signature product.
-    """
+    """`curve_derivative(spec, psi, 1)`; kept only since perfbench's `TRACED` reads it by name."""
     return curve_derivative(spec, psi, 1)

@@ -158,8 +158,8 @@ def _closed_form_blocks(cfg: IntegratorConfig) -> np.ndarray:
 def closed_form_trajectory(cfg: IntegratorConfig) -> np.ndarray:
     """The closed-form curve and its velocity on the grid `integrate` uses.
 
-    Laid out as `integrate`'s flow: row k is [point_at | velocity_at] at
-    cfg.grid()[k], bit for bit.
+    Laid out as `integrate`'s flow: row k is `curve_derivative` of order 0,
+    then of order 1, at cfg.grid()[k], bit for bit.
     """
     return _flow(cfg, _closed_form_blocks)
 

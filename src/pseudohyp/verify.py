@@ -146,7 +146,8 @@ def _closed_form_checks(spec: CurveSpec, r2: float, grid: np.ndarray) -> list:
     sig = spec.sig
     pts, vel = _tower(spec, grid, (0, 1))
     h = 1e-5
-    fd = (curve_derivative(spec, _FD_PSI + h, 0) - curve_derivative(spec, _FD_PSI - h, 0)) / (2 * h)
+    ahead, behind = _tower(spec, _FD_PSI + [[h], [-h]], (0,))[0]
+    fd = (ahead - behind) / (2 * h)
     return [
         Check("quadric", _max_abs(inner_product(pts, pts, sig) - r2), 1e-9 * r2),
         Check("orthogonality", _max_abs(inner_product(pts, vel, sig)), 1e-9 * r2),

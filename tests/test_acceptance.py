@@ -18,13 +18,12 @@ from pseudohyp import (
     bundle_dim,
     closed_form_trajectory,
     convergence_order,
+    curve_derivative,
     curve_lift,
     inner_product,
     integrate,
     max_deviation,
-    point_at,
     random_isometry,
-    velocity_at,
 )
 
 FULL_GRID = [Signature(s, r) for s in range(1, 5) for r in range(1, 5)]
@@ -39,17 +38,11 @@ def report(num, name, ok, detail=""):
 def test_criterion_1_base_case_reproduction():
     t0 = time.perf_counter()
     spec = CurveSpec(Signature(1, 1), 1.0)
-    worst = 0.0
-    for psi in np.linspace(-3.0, 3.0, 50):
-        p = point_at(psi, spec)
-        v = velocity_at(psi, spec)
-        for got, want in (
-            (p[0], math.sinh(psi)),
-            (p[1], math.cosh(psi)),
-            (v[0], math.cosh(psi)),
-            (v[1], math.sinh(psi)),
-        ):
-            worst = max(worst, abs(got - want) / max(1.0, abs(want)))
+    psi = np.linspace(-3.0, 3.0, 50)
+    sinh, cosh = (np.array([f(a) for a in psi]) for f in (math.sinh, math.cosh))
+    got = np.hstack((curve_derivative(spec, psi, 0), curve_derivative(spec, psi, 1)))
+    want = np.column_stack((sinh, cosh, cosh, sinh))
+    worst = float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-15 and elapsed < 1.0
     report(1, "base case (sinh psi, cosh psi)", ok,
@@ -66,11 +59,10 @@ def test_criterion_2_quadric_invariant_sweep():
         for radius in RADII:
             spec = CurveSpec(sig, radius)
             r2 = radius * radius
-            for psi in psis:
-                p = point_at(psi, spec)
-                v = velocity_at(psi, spec)
-                worst_form = max(worst_form, abs(inner_product(p, p, sig) - r2) / r2)
-                worst_orth = max(worst_orth, abs(inner_product(p, v, sig)) / r2)
+            p, v = curve_derivative(spec, psis, 0), curve_derivative(spec, psis, 1)
+            form = np.abs(inner_product(p, p, sig) - r2) / r2
+            worst_form = max(worst_form, float(np.max(form)))
+            worst_orth = max(worst_orth, float(np.max(np.abs(inner_product(p, v, sig)) / r2)))
     elapsed = time.perf_counter() - t0
     ok = worst_form <= 1e-9 and worst_orth <= 1e-9 and elapsed < 5.0
     report(2, "quadric and orthogonality sweep", ok,
@@ -101,9 +93,9 @@ def test_criterion_3_velocity_norm():
         for radius in RADII:
             spec = CurveSpec(sig, radius)
             target = sig.s * sig.r * radius * radius
-            for psi in np.linspace(-2.0, 2.0, 100):
-                v = velocity_at(psi, spec)
-                worst = max(worst, abs(inner_product(v, v, sig) + target) / target)
+            v = curve_derivative(spec, np.linspace(-2.0, 2.0, 100), 1)
+            norm = np.abs(inner_product(v, v, sig) + target) / target
+            worst = max(worst, float(np.max(norm)))
     ok = worst <= 1e-9
     report(3, "velocity norm -s*r*R^2", ok, f" worst rel {worst:.2e}")
     assert worst <= 1e-9
@@ -201,18 +193,18 @@ def test_criterion_8_isometry_invariance():
         worst_form = max(worst_form, err / (1e-10 * (1.0 + abs(ip))))
         radius = float(rng.choice(RADII))
         spec = CurveSpec(sig, radius)
-        q = apply(m, point_at(float(rng.uniform(-1.0, 1.0)), spec))
+        q = apply(m, curve_derivative(spec, float(rng.uniform(-1.0, 1.0)), 0))
         image_err = abs(inner_product(q, q, sig) - radius * radius)
         worst_image = max(worst_image, image_err / (1e-9 * radius * radius))
     worst_shift = 0.0
     sig11 = Signature(1, 1)
     spec11 = CurveSpec(sig11, 1.0)
+    psi = np.linspace(-2.0, 2.0, 21)
+    pts = curve_derivative(spec11, psi, 0)
     for a in np.linspace(-1.0, 1.0, 9):
-        g = boost(sig11, 0, 1, float(a))
-        for psi in np.linspace(-2.0, 2.0, 21):
-            got = apply(g, point_at(psi, spec11))
-            want = point_at(psi + float(a), spec11)
-            worst_shift = max(worst_shift, float(np.max(np.abs(got - want))) / 1e-10)
+        got = apply(boost(sig11, 0, 1, float(a)), pts)
+        want = curve_derivative(spec11, psi + float(a), 0)
+        worst_shift = max(worst_shift, float(np.max(np.abs(got - want))) / 1e-10)
     ok = worst_form <= 1.0 and worst_image <= 1.0 and worst_shift <= 1.0
     report(8, "isometry products preserve form and quadric", ok,
            f" worst form {worst_form:.2e}, image {worst_image:.2e}, "
@@ -231,10 +223,8 @@ def test_criterion_9_fault_sensitivity():
         for radius in RADII:
             r2 = radius * radius
             faulty = CurveSpec(sig, radius * math.sqrt(sig.r))
-            worst = max(
-                abs(inner_product(point_at(psi, faulty), point_at(psi, faulty), sig) - r2)
-                for psi in psis
-            )
+            pts = curve_derivative(faulty, psis, 0)
+            worst = float(np.max(np.abs(inner_product(pts, pts, sig) - r2)))
             if sig.r == 1:
                 ok = ok and worst <= 1e-9 * r2  # amplitude is still right
             else:

@@ -12,8 +12,6 @@ from pseudohyp import (
     bundle_dim,
     curve_derivative,
     curve_lift,
-    point_at,
-    velocity_at,
 )
 
 SMALL_SIGS = [Signature(s, r) for s in range(1, 4) for r in range(1, 4)]
@@ -38,13 +36,24 @@ def test_bundle_dim_errors():
         bundle_dim(3, 70)
     with pytest.raises(OverflowError):
         bundle_dim(10, 60)
+    with pytest.raises(OverflowError):
+        bundle_dim(np.int64(2**40), 30)
+
+
+def test_bundle_dim_rejects_non_integers():
+    # a float or a bool is no count, even where the product or the shift would take it
+    for n, p, bad in ((2.5, 2, 2.5), (True, 2, True), (3, 1.5, 1.5), (3, True, True)):
+        with pytest.raises(ValueError, match=f"(positive|non-negative) integer, got {bad}"):
+            bundle_dim(n, p)
+    dim = bundle_dim(np.int64(3), np.int64(2))
+    assert type(dim) is int and dim == 12
 
 
 def test_project_order_one_recovers_base():
     sig = Signature(1, 1)
     spec = CurveSpec(sig, 1.0)
     e = curve_lift(spec, 0.8, 1)
-    assert np.array_equal(e[: e.shape[-1] // 2], point_at(0.8, spec))
+    assert np.array_equal(e[: e.shape[-1] // 2], curve_derivative(spec, 0.8, 0))
 
 
 @pytest.mark.parametrize("sig", SMALL_SIGS)
@@ -84,16 +93,16 @@ def test_trivialize_example():
 def test_trivialize_length_matches_bundle_dim():
     for sig in SMALL_SIGS:
         spec = CurveSpec(sig, 1.0)
-        flat = np.concatenate((point_at(0.4, spec), velocity_at(0.4, spec)))
+        flat = np.concatenate((curve_derivative(spec, 0.4, 0), curve_derivative(spec, 0.4, 1)))
         assert flat.shape == (bundle_dim(sig.n, 1),)
         assert np.array_equal(curve_lift(spec, 0.4, 1), flat)
 
 
 def test_curve_lift_order0_is_point():
+    psi = np.array([-0.9, 0.0, 0.55])
     for sig in SMALL_SIGS:
         spec = CurveSpec(sig, 1.3)
-        for psi in (-0.9, 0.0, 0.55):
-            assert np.array_equal(curve_lift(spec, psi, 0), point_at(psi, spec))
+        assert np.array_equal(curve_lift(spec, psi, 0), curve_derivative(spec, psi, 0))
 
 
 def test_curve_lift_order1_base_case():
@@ -114,11 +123,8 @@ def test_curve_lift_second_derivative_fd_crosscheck():
     spec = CurveSpec(Signature(1, 1), 1.0)
     h = 1e-4
     psi = 0.6
-    fd = (
-        point_at(psi + h, spec)
-        - 2.0 * point_at(psi, spec)
-        + point_at(psi - h, spec)
-    ) / (h * h)
+    ahead, at, behind = curve_derivative(spec, psi + np.array([h, 0.0, -h]), 0)
+    fd = (ahead - 2.0 * at + behind) / (h * h)
     d2 = curve_derivative(spec, psi, 2)
     assert np.max(np.abs(fd - d2)) <= 1e-6 * max(1.0, float(np.max(np.abs(d2))))
 
@@ -168,6 +174,16 @@ def test_lift_order_cap():
         curve_lift(spec, 0.0, 7)
     with pytest.raises(ValueError):
         curve_lift(spec, 0.0, -1)
+
+
+def test_curve_lift_rejects_non_integer_orders():
+    # a bool would pass as an order and build a lift; it is refused with the floats
+    spec = CurveSpec(Signature(2, 3), 1.0)
+    for order in (True, False, 1.5, 2.0, "1"):
+        with pytest.raises(ValueError, match=f"lift order must be a non-negative integer, "
+                                             f"got {order!r}"):
+            curve_lift(spec, PSI_ROWS, order)
+    assert np.array_equal(curve_lift(spec, PSI_ROWS, np.int64(2)), curve_lift(spec, PSI_ROWS, 2))
 
 
 def test_bundle_element_validation():

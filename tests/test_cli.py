@@ -509,6 +509,8 @@ def test_verify_small_grid_passes(capsys):
     ("verify_default.txt", []),
     ("verify_max_sig_2_seed_1.txt", ["--max-sig", "2", "--seed", "1"]),
     ("verify_inject_fault_r_eff.txt", ["--inject-fault", "r-eff"]),
+    # 30 of its 64 cells fail on correct code: a change that mends one shows here
+    ("verify_max_sig_8.txt", ["--max-sig", "8"]),
 ])
 def test_verify_prints_the_recorded_report(capsys, name, argv):
     # the report as the code printed it before the RK4 block sums became
@@ -800,9 +802,9 @@ def test_benchmark_tracer_sees_every_traced_layer(tmp_path):
     # per cell and one for the (1,1) boosts, nine inner products per cell
     assert swept["transform.apply"]["calls"] <= 9
     # each psi array once, all the orders it needs from one tower: outside
-    # the towers, curve_derivative serves only the three velocity_fd arrays
-    # of each cell and the two boost grids
-    assert swept["bundle.curve_derivative"]["calls"] == 4 * 3 + 2
+    # the towers, curve_derivative serves only the velocity each cell's
+    # velocity_fd checks against and the two boost grids
+    assert swept["bundle.curve_derivative"]["calls"] == 4 * 1 + 2
     # one isometry_defect per cell on its whole stack of maps, while the maps
     # themselves are still composed from traced generator calls
     assert swept["transform.isometry_defect"]["calls"] == 4

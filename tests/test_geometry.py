@@ -1,6 +1,7 @@
 """Tests for the signature product, the quadric, and the closed-form curve."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -12,9 +13,8 @@ from hypothesis.extra.numpy import arrays
 from pseudohyp import (
     CurveSpec,
     Signature,
+    curve_derivative,
     inner_product,
-    point_at,
-    velocity_at,
 )
 from pseudohyp.geometry import _block_inner, _block_tower
 
@@ -49,7 +49,7 @@ def test_point_and_vector_blocks():
     assert np.array_equal(v[: sig.s], [1, 1])
     assert np.array_equal(v[sig.s :], [0, 0, 2])
     spec = CurveSpec(sig, 1.0)
-    assert point_at(0.3, spec).shape == velocity_at(0.3, spec).shape == (sig.n,)
+    assert curve_derivative(spec, 0.3, 0).shape == curve_derivative(spec, 0.3, 1).shape == (sig.n,)
 
 
 def test_point_validation():
@@ -83,7 +83,7 @@ def test_inner_product_dimension_mismatch():
     sig = Signature(2, 3)
     with pytest.raises(ValueError):
         inner_product((1.0, 2.0), (1.0, 2.0, 3.0, 4.0, 5.0), sig)
-    p = point_at(0.3, CurveSpec(Signature(1, 1), 1.0))
+    p = curve_derivative(CurveSpec(Signature(1, 1), 1.0), 0.3, 0)
     with pytest.raises(ValueError):
         inner_product(p, np.zeros(5), sig)
 
@@ -155,9 +155,8 @@ def test_inner_product_exact_oracle():
     gamma = sig.n * u / (1 - sig.n * u)
     for radius in RADII:
         spec = CurveSpec(sig, radius)
-        for psi in np.linspace(-3.0, 3.0, 61):
-            p = point_at(psi, spec)
-            v = velocity_at(psi, spec)
+        psi = np.linspace(-3.0, 3.0, 61)
+        for p, v in zip(curve_derivative(spec, psi, 0), curve_derivative(spec, psi, 1)):
             for a, b in ((p, p), (p, v), (v, v)):
                 terms = [Fraction(x) * Fraction(y) for x, y in zip(a, b)]
                 exact = sum(terms[sig.s :]) - sum(terms[: sig.s])
@@ -187,7 +186,7 @@ def test_effective_radius_rejects_nonpositive():
 def test_effective_radius_puts_curve_on_quadric():
     # independent evaluation of the form, plain signed sum over the blocks
     spec = CurveSpec(Signature(3, 4), 2.0)
-    t, x = np.split(point_at(0.7, spec), [3])
+    t, x = np.split(curve_derivative(spec, 0.7, 0), [3])
     form = -sum(c * c for c in t) + sum(c * c for c in x)
     assert abs(form - 4.0) <= 1e-12
 
@@ -196,22 +195,22 @@ def test_effective_radius_puts_curve_on_quadric():
 @pytest.mark.parametrize("radius", RADII)
 def test_point_at_initial_condition(sig, radius):
     spec = CurveSpec(sig, radius)
-    p = point_at(0.0, spec)
+    p = curve_derivative(spec, 0.0, 0)
     assert np.all(p[: sig.s] == 0.0)
     assert np.all(p[sig.s :] == spec.r_eff)
 
 
 def test_point_at_base_case_bitwise():
     spec = CurveSpec(Signature(1, 1), 1.0)
-    for psi in np.linspace(-3, 3, 50):
-        p = point_at(psi, spec)
-        assert p[0] == math.sinh(psi)
-        assert p[1] == math.cosh(psi)
+    psi = np.linspace(-3, 3, 50)
+    p = curve_derivative(spec, psi, 0)
+    assert p[:, 0].tolist() == [math.sinh(a) for a in psi]
+    assert p[:, 1].tolist() == [math.cosh(a) for a in psi]
 
 
 def test_point_at_two_two_example():
     spec = CurveSpec(Signature(2, 2), math.sqrt(2.0))
-    p = point_at(0.5, spec)
+    p = curve_derivative(spec, 0.5, 0)
     want = [math.sinh(1.0), math.sinh(1.0), math.cosh(1.0), math.cosh(1.0)]
     assert np.array_equal(p, want)
     t, x = np.split(p, [2])
@@ -223,11 +222,10 @@ def test_point_uniformity_bitwise():
     rng = np.random.default_rng(3)
     for sig in SIGS:
         spec = CurveSpec(sig, 1.5)
-        for psi in rng.uniform(-3, 3, 10):
-            for block in np.split(point_at(psi, spec), [sig.s]):
-                assert np.all(block == block[0])
-            for block in np.split(velocity_at(psi, spec), [sig.s]):
-                assert np.all(block == block[0])
+        psi = rng.uniform(-3, 3, 10)
+        for m in (0, 1):
+            for block in np.split(curve_derivative(spec, psi, m), [sig.s], axis=-1):
+                assert np.all(block == block[:, :1])
 
 
 def _stacked_tower(spec, psi, orders):
@@ -262,28 +260,38 @@ def test_block_tower_matches_the_stacked_form_bitwise():
     assert _block_tower(spec, np.array([]), (0, 1))[1].shape == (0, 2)
 
 
+def test_curve_derivative_rejects_non_integer_orders():
+    # 1.5 % 2 and 1.5 // 2 would select the velocity, as True would: only integers are orders
+    spec = CurveSpec(Signature(2, 3), 1.0)
+    for m in (1.5, True, False, 1.0, None, -1):
+        with pytest.raises(ValueError, match=f"derivative order must be a non-negative integer, "
+                                             f"got {re.escape(repr(m))}"):
+            curve_derivative(spec, 0.3, m)
+    assert np.array_equal(curve_derivative(spec, 0.3, np.int64(1)), curve_derivative(spec, 0.3, 1))
+
+
 def test_velocity_base_case_bitwise():
     spec = CurveSpec(Signature(1, 1), 1.0)
-    for psi in np.linspace(-3, 3, 50):
-        v = velocity_at(psi, spec)
-        assert v[0] == math.cosh(psi)
-        assert v[1] == math.sinh(psi)
+    psi = np.linspace(-3, 3, 50)
+    v = curve_derivative(spec, psi, 1)
+    assert v[:, 0].tolist() == [math.cosh(a) for a in psi]
+    assert v[:, 1].tolist() == [math.sinh(a) for a in psi]
 
 
 @pytest.mark.parametrize("sig", SIGS)
 def test_velocity_at_zero(sig):
     spec = CurveSpec(sig, 2.0)
-    v = velocity_at(0.0, spec)
+    v = curve_derivative(spec, 0.0, 1)
     assert np.all(v[: sig.s] == sig.r * spec.r_eff)
     assert np.all(v[sig.s :] == 0.0)
 
 
 def test_velocity_two_two_example():
     spec = CurveSpec(Signature(2, 2), math.sqrt(2.0))
-    v = velocity_at(0.5, spec)
+    v = curve_derivative(spec, 0.5, 1)
     want = [2 * math.cosh(1.0), 2 * math.cosh(1.0), 2 * math.sinh(1.0), 2 * math.sinh(1.0)]
     assert np.array_equal(v, want)
-    p = point_at(0.5, spec)
+    p = curve_derivative(spec, 0.5, 0)
     # independent orthogonality check, plain signed sum
     (pt, px), (vt, vx) = np.split(p, [2]), np.split(v, [2])
     form = -sum(a * b for a, b in zip(pt, vt)) + sum(a * b for a, b in zip(px, vx))
@@ -296,9 +304,9 @@ def test_velocity_matches_finite_difference(sig, radius):
     spec = CurveSpec(sig, radius)
     h = 1e-5
     bound = 1e-8 * max(1.0, sig.r * spec.r_eff)
-    for psi in np.linspace(-0.9, 0.9, 19):
-        fd = (point_at(psi + h, spec) - point_at(psi - h, spec)) / (2 * h)
-        assert np.max(np.abs(fd - velocity_at(psi, spec))) <= bound
+    psi = np.linspace(-0.9, 0.9, 19)
+    fd = (curve_derivative(spec, psi + h, 0) - curve_derivative(spec, psi - h, 0)) / (2 * h)
+    assert np.max(np.abs(fd - curve_derivative(spec, psi, 1))) <= bound
 
 
 @pytest.mark.parametrize("sig", SIGS)
@@ -306,12 +314,12 @@ def test_velocity_matches_finite_difference(sig, radius):
 def test_curve_invariants(sig, radius):
     spec = CurveSpec(sig, radius)
     r2 = radius * radius
-    for psi in np.linspace(-2, 2, 25):
-        p = point_at(psi, spec)
-        v = velocity_at(psi, spec)
-        assert abs(inner_product(p, p, sig) - r2) <= 1e-9 * r2
-        assert abs(inner_product(p, v, sig)) <= 1e-9 * r2
-        assert abs(inner_product(v, v, sig) + sig.s * sig.r * r2) <= 1e-9 * sig.s * sig.r * r2
+    psi = np.linspace(-2, 2, 25)
+    p, v = curve_derivative(spec, psi, 0), curve_derivative(spec, psi, 1)
+    assert np.max(np.abs(inner_product(p, p, sig) - r2)) <= 1e-9 * r2
+    assert np.max(np.abs(inner_product(p, v, sig))) <= 1e-9 * r2
+    norm_err = inner_product(v, v, sig) + sig.s * sig.r * r2
+    assert np.max(np.abs(norm_err)) <= 1e-9 * sig.s * sig.r * r2
 
 
 def test_velocity_norm_independent_oracle():
@@ -327,7 +335,7 @@ def test_velocity_norm_independent_oracle():
 
 def test_is_on_hyperboloid_examples():
     sig = Signature(1, 1)
-    p = point_at(1.3, CurveSpec(sig, 1.0))
+    p = curve_derivative(CurveSpec(sig, 1.0), 1.3, 0)
     assert abs(inner_product(p, p, sig) - 1.0) <= 1e-12
     null_point = np.array([1.0, 1.0])
     assert abs(inner_product(null_point, null_point, sig) - 1.0) > 1e-12
@@ -341,17 +349,18 @@ def test_is_on_hyperboloid_random_sweep():
     for sig in SIGS:
         spec = CurveSpec(sig, 1.0)
         w = spec.frequency
-        for psi in rng.uniform(-3, 3, 100):
-            tol = 64 * eps * max(1.0, math.cosh(w * psi) ** 2)
-            p = point_at(psi, spec)
-            assert abs(inner_product(p, p, sig) - 1.0) <= tol
+        psi = rng.uniform(-3, 3, 100)
+        tol = [64 * eps * max(1.0, math.cosh(w * a) ** 2) for a in psi]
+        p = curve_derivative(spec, psi, 0)
+        assert np.all(np.abs(inner_product(p, p, sig) - 1.0) <= tol)
 
 
 def test_is_h_orthogonal_curve_pairs():
     for sig in SIGS:
         spec = CurveSpec(sig, 1.0)
-        for psi in np.linspace(-1.5, 1.5, 41):
-            assert abs(inner_product(point_at(psi, spec), velocity_at(psi, spec), sig)) <= 1e-10
+        psi = np.linspace(-1.5, 1.5, 41)
+        ortho = inner_product(curve_derivative(spec, psi, 0), curve_derivative(spec, psi, 1), sig)
+        assert np.max(np.abs(ortho)) <= 1e-10
 
 
 def test_is_h_orthogonal_examples():

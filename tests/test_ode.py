@@ -12,11 +12,11 @@ from pseudohyp import (
     Signature,
     closed_form_trajectory,
     convergence_order,
+    curve_derivative,
     curve_lift,
     inner_product,
     integrate,
     max_deviation,
-    point_at,
 )
 from pseudohyp import ode
 from pseudohyp.ode import check_resolved
@@ -27,7 +27,7 @@ def spec11(radius=1.0):
 
 
 def rhs(spec, psi):
-    # the flow's right-hand side at point_at(psi): the velocity integrate records first
+    # the flow's right-hand side at the curve point of psi: the velocity integrate records first
     return integrate(IntegratorConfig(psi, psi + 1.0, 1, spec))[0, spec.sig.n :]
 
 
@@ -44,7 +44,7 @@ def test_system_rhs_zero_point():
     # +0.0, also when the block is -0.0
     spec = CurveSpec(Signature(2, 3), 1.0)
     for psi in (0.0, -0.0):
-        assert point_at(psi, spec)[:2].tobytes() == np.full(2, psi).tobytes()
+        assert curve_derivative(spec, psi, 0)[:2].tobytes() == np.full(2, psi).tobytes()
         assert rhs(spec, psi)[2:].tobytes() == np.zeros(3).tobytes()
 
 
@@ -52,7 +52,7 @@ def test_system_rhs_hand_sums():
     # each time-like entry of the velocity is the sum of the three space-like
     # coordinates, and each space-like entry the sum of the two time-like ones
     spec = CurveSpec(Signature(2, 3), 1.3)
-    t, x = point_at(0.7, spec)[[0, 2]]
+    t, x = curve_derivative(spec, 0.7, 0)[[0, 2]]
     assert np.array_equal(rhs(spec, 0.7), [x + x + x] * 2 + [t + t] * 3)
 
 
@@ -130,7 +130,7 @@ def test_check_resolved_rejects_steps_past_the_float_range():
 def test_zero_span_single_sample():
     spec = spec11()
     cfg = IntegratorConfig(1.5, 1.5, 1, spec)
-    initial = point_at(1.5, spec)
+    initial = curve_derivative(spec, 1.5, 0)
     flow = integrate(cfg)
     assert flow.shape == (1, 4)
     assert np.array_equal(flow[0, :2], initial)
@@ -174,14 +174,11 @@ def test_closed_form_base_case_values():
 
 
 def test_closed_form_matches_point_at_bitwise():
-    from pseudohyp import curve_derivative, velocity_at
-
     spec = CurveSpec(Signature(3, 2), 1.5)
     cfg = IntegratorConfig(-0.7, 1.3, 13, spec)
     flow = closed_form_trajectory(cfg)
-    for k, psi in enumerate(cfg.grid()):
-        assert np.array_equal(flow[k, :5], point_at(psi, spec))
-        assert np.array_equal(flow[k, 5:], velocity_at(psi, spec))
+    assert np.array_equal(flow[:, :5], curve_derivative(spec, cfg.grid(), 0))
+    assert np.array_equal(flow[:, 5:], curve_derivative(spec, cfg.grid(), 1))
     for m in range(4):
         rows = [curve_derivative(spec, psi, m) for psi in cfg.grid()]
         assert np.array_equal(curve_derivative(spec, cfg.grid(), m), rows)
@@ -346,7 +343,8 @@ def reference_integrate(cfg, initial, block_sum=np.sum):
 def fsum_reference(cfg):
     # the n-coordinate loop with each block summed by math.fsum, which is
     # correctly rounded whatever the entries, so it assumes no uniformity
-    points, velocities = reference_integrate(cfg, point_at(cfg.psi_start, cfg.spec), math.fsum)
+    start = curve_derivative(cfg.spec, cfg.psi_start, 0)
+    points, velocities = reference_integrate(cfg, start, math.fsum)
     return np.hstack((points, velocities))
 
 
@@ -380,7 +378,7 @@ def test_integrate_matches_the_reference_loop(s):
         for psi_start, psi_end in ((-1.0, 0.8), (0.8, -1.0), (-0.0, 0.8), (-0.0, -1.0)):
             cfg = IntegratorConfig(psi_start, psi_end, 24, spec)
             flow = integrate(cfg)
-            points, velocities = reference_integrate(cfg, point_at(psi_start, spec))
+            points, velocities = reference_integrate(cfg, curve_derivative(spec, psi_start, 0))
             if max(s, r) <= 3:
                 assert bits(flow) == (points.tobytes(), velocities.tobytes()), (s, r)
             else:
@@ -409,7 +407,7 @@ def padded_reference(cfg):
     points = np.zeros((samples, 1, sig.n + 2))
     velocities = np.zeros_like(points)
     k2, k3, k4 = np.zeros((3, 1, sig.n + 2))
-    points[0, 0, cols] = point_at(cfg.psi_start, cfg.spec)
+    points[0, 0, cols] = curve_derivative(cfg.spec, cfg.psi_start, 0)
     rhs(points[0], velocities[0])
     half, sixth = 0.5 * h, h / 6.0
     for k in range(samples - 1):
@@ -461,7 +459,7 @@ def test_block_sums_are_correctly_rounded_at_every_length():
     for s in range(1, 13):
         spec = CurveSpec(Signature(s, 13 - s), 10.0 ** rng.integers(-8, 9))
         for psi in rng.uniform(-3.0, 3.0, 20).tolist():
-            p = point_at(psi, spec)
+            p = curve_derivative(spec, psi, 0)
             out = rhs(spec, psi)
             for block, count, value in ((out[:s], 13 - s, p[s]), (out[s:], s, p[0])):
                 want = math.fsum([value] * count)

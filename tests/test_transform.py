@@ -11,11 +11,10 @@ from pseudohyp import (
     apply,
     block_rotation,
     boost,
+    curve_derivative,
     inner_product,
     isometry_defect,
-    point_at,
     random_isometry,
-    velocity_at,
 )
 
 SIGS = [Signature(s, r) for s in range(1, 5) for r in range(1, 5)]
@@ -46,12 +45,12 @@ def test_boost_translates_curve_parameter():
     sig = Signature(1, 1)
     for radius in (0.5, 1.0, 2.0):
         spec = CurveSpec(sig, radius)
+        psi = np.linspace(-2.0, 2.0, 21)
+        pts = curve_derivative(spec, psi, 0)
         for a in np.linspace(-1.0, 1.0, 9):
-            g = boost(sig, 0, 1, float(a))
-            for psi in np.linspace(-2.0, 2.0, 21):
-                got = apply(g, point_at(psi, spec))
-                want = point_at(psi + float(a), spec)
-                assert np.max(np.abs(got - want)) <= 1e-10
+            got = apply(boost(sig, 0, 1, float(a)), pts)
+            want = curve_derivative(spec, psi + float(a), 0)
+            assert np.max(np.abs(got - want)) <= 1e-10
 
 
 def test_boost_composition_adds_rapidities():
@@ -158,14 +157,14 @@ def test_rotation_preserves_quadric():
             a1, a2 = rng.choice(np.arange(sig.s, sig.n), size=2, replace=False)
             g = block_rotation(sig, int(a1), int(a2), float(rng.uniform(-math.pi, math.pi)))
             psi = float(rng.uniform(-1.0, 1.0))
-            q = apply(g, point_at(psi, spec))
+            q = apply(g, curve_derivative(spec, psi, 0))
             assert abs(inner_product(q, q, sig) - 1.0) <= 1e-12
 
 
 def test_rotation_quarter_turn_swaps_axes():
     sig = Signature(1, 2)
     spec = CurveSpec(sig, 1.0)
-    p = point_at(0.8, spec)
+    p = curve_derivative(spec, 0.8, 0)
     q = apply(block_rotation(sig, 1, 2, math.pi / 2.0), p)
     assert abs(q[1] + p[2]) <= 1e-14
     assert abs(q[2] - p[1]) <= 1e-14
@@ -189,12 +188,12 @@ def test_apply_identity_is_exact():
 
 
 def test_apply_boost_reaches_curve_point():
-    # boosting the initial point must land on point_at(1), both code paths
+    # boosting the initial point must land on the curve point at psi = 1, both code paths
     sig = Signature(1, 1)
     for radius in (1.0, 2.5):
         spec = CurveSpec(sig, radius)
         q = apply(boost(sig, 0, 1, 1.0), np.array([0.0, radius]))
-        assert np.max(np.abs(q - point_at(1.0, spec))) <= 1e-12 * radius
+        assert np.max(np.abs(q - curve_derivative(spec, 1.0, 0))) <= 1e-12 * radius
 
 
 def test_apply_preserves_inner_product():
@@ -216,8 +215,8 @@ def test_apply_keeps_pair_orthogonal():
         for _ in range(3):
             m = random_isometry(sig, rng)
             psi = float(rng.uniform(-1, 1))
-            q = apply(m, point_at(psi, spec))
-            qv = apply(m, velocity_at(psi, spec))
+            q = apply(m, curve_derivative(spec, psi, 0))
+            qv = apply(m, curve_derivative(spec, psi, 1))
             assert abs(inner_product(q, qv, sig)) <= 1e-10
 
 

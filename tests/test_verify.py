@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pseudohyp import (CurveSpec, Signature, apply, boost, curve_derivative, inner_product,
-                       isometry_defect, point_at, random_isometry, velocity_at)
+                       isometry_defect, random_isometry)
 from pseudohyp import verify
 from pseudohyp.verify import run_cell_checks, run_sweep
 
@@ -194,7 +194,7 @@ def _per_trial_groups(sig, radius, fault_r_eff):
         worst["isometry_form"] = max(worst["isometry_form"], err / (1.0 + abs(ip)))
         allow["isometry_form"] = max(allow["isometry_form"], slack(m, a, b, ip) / (1.0 + abs(ip)))
         psi = float(rng.uniform(-1.0, 1.0))
-        p, v = point_at(psi, spec), velocity_at(psi, spec)
+        p, v = curve_derivative(spec, psi, 0), curve_derivative(spec, psi, 1)
         q, qv = apply(m, p), apply(m, v)
         worst["isometry_quadric"] = max(worst["isometry_quadric"],
                                         abs(inner_product(q, q, sig) - r2))
