@@ -55,7 +55,7 @@ class Signature:
 
     def __post_init__(self):
         if not is_integer(self.s) or not is_integer(self.r):
-            raise TypeError("signature counts must be integers")
+            raise ValueError(f"signature counts must be integers, got ({self.s!r}, {self.r!r})")
         object.__setattr__(self, "s", int(self.s))
         object.__setattr__(self, "r", int(self.r))
         if self.s < 1 or self.r < 1:

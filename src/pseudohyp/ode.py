@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -183,21 +183,25 @@ def check_span(cfg: IntegratorConfig) -> None:
         raise ValueError(f"a slope fit needs a step size above zero, got {got}")
 
 
-def convergence_order(cfgs, flows) -> float:
-    """Fitted order of accuracy of integrated flows at several step counts.
+def convergence_order(cfgs) -> float:
+    """Fitted order of accuracy of `integrate` at several step counts.
 
-    `flows` holds at least three `integrate` runs over one psi interval at
-    different step counts, and `cfgs` their configs. Measures each one's
-    deviation from the closed form on its own grid and returns the slope of
-    log(deviation) against log(step size). The classic four-stage scheme
-    gives about 4.
+    `cfgs` holds configs that differ in their step count only, at three or
+    more step sizes. Integrates each in turn, measures its deviation from the
+    closed form on its own grid and returns the slope of log(deviation)
+    against log(step size). The classic four-stage scheme gives about 4.
     """
-    runs = list(zip(cfgs, flows, strict=True))
-    if len(runs) < 3:
-        raise ValueError("need at least 3 step counts for a slope fit")
-    for cfg, _ in runs:
+    cfgs = list(cfgs)
+    for cfg in cfgs:
         check_span(cfg)
-    hs = [abs(cfg.step) for cfg, _ in runs]
-    devs = [max(max_deviation(flow, closed_form_trajectory(cfg)), 1e-300) for cfg, flow in runs]
+        if replace(cfg, steps=cfgs[0].steps) != cfgs[0]:
+            raise ValueError("a slope fit needs runs that differ in their step count only, "
+                             f"got {cfgs[0]} and {cfg}")
+    hs = [abs(cfg.step) for cfg in cfgs]
+    if len(set(hs)) < 3:
+        raise ValueError(f"a slope fit needs at least 3 distinct step sizes, got "
+                         f"{len(set(hs))} from step counts {[cfg.steps for cfg in cfgs]}")
+    devs = [max(max_deviation(integrate(cfg), closed_form_trajectory(cfg)), 1e-300)
+            for cfg in cfgs]
     slope, _ = np.polyfit(np.log(hs), np.log(devs), 1)
     return float(slope)

@@ -93,6 +93,8 @@ def apply(m: np.ndarray, x) -> np.ndarray:
     quadric of the same constant.
     """
     m = np.asarray(m, dtype=float)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square map or a stack of them, got shape {m.shape}")
     arr = np.asarray(x, dtype=float)
     if arr.ndim < 1 or arr.shape[-1] != m.shape[-1]:
         raise ValueError(f"expected {m.shape[-1]} coordinates per point, got shape {arr.shape}")

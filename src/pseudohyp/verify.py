@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -91,53 +91,46 @@ def _max_abs(arr: np.ndarray) -> float:
 
 def _cell_plan(sig, radius, psi_start, psi_end, steps, seed, fault_r_eff) -> list:
     """Validate one cell's parameters; return its IntegratorConfigs at `steps`
-    and at each of `_CONVERGENCE_STEPS`, whose spec is the one its curve is
-    evaluated with.
+    and at each of `_CONVERGENCE_STEPS`, with the spec its curve is evaluated with.
 
-    Raises ValueError for a cell the battery cannot serve, naming the limit.
+    Raises ValueError, naming the limit, at the first check the cell fails: its
+    inputs, then the one radius cap, RK4 resolution and a step that underflows.
     """
     # numpy seeds a generator from non-negative integers only
     if not is_integer(seed) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    spec = CurveSpec(sig, radius)  # rejects a bad radius before any use of it
+    spec = CurveSpec(sig, radius)
+    cfgs = [IntegratorConfig(psi_start, psi_end, k, spec) for k in (steps, *_CONVERGENCE_STEPS)]
     # inner products sum squared coordinates: on the grid their partial sums
     # reach 2*s*r*(R*cosh(w*psi))^2, and the isometry images at |psi| <= 1 up
     # to e^6 times that (five boosts of rapidity <= 0.6); with
     # sqrt(s*r)*R*e^(w*psi) <= _PEAK_MAX both stay below 2*e^6*1e304 < 1.8e308
     w = spec.frequency
     psi_reach = max(abs(psi_start), abs(psi_end), 1.0)
-    radius_max = math.exp(math.log(_PEAK_MAX / w) - w * psi_reach)
+    curve_max = math.exp(math.log(_PEAK_MAX / w) - w * psi_reach)
     # RK4 rounding seeds the flow's growing mode at up to steps*u*|y0|, and the
     # mode multiplies it by e^(w*span); bounding sqrt(s*r)*R*steps*u*e^(w*(|psi_start|
     # + span)) by _PEAK_MAX keeps the products along the integrated flow finite too
     steps_max = max(steps, *_CONVERGENCE_STEPS)
     flow_max = math.exp(math.log(_PEAK_MAX / (w * steps_max * 2.0**-53))
                         - w * (abs(psi_start) + abs(psi_end - psi_start)))
-    flow_error = ValueError(
-        f"sqrt(s*r) * R * steps * 2^-53 * exp(sqrt(s*r) * (|psi_start| + span)) must stay "
-        f"below {_PEAK_MAX:g}, so that the integrated flow's rounding stays finite; for "
-        f"(s, r) = ({sig.s}, {sig.r}), psi in [{psi_start:g}, {psi_end:g}] and {steps_max} "
-        f"steps that caps the radius at {flow_max:.6g}, got {radius:g}"
-    )
-    if radius > radius_max:
-        # above both caps, the smaller one is the one that binds
-        if flow_max < radius_max:
-            raise flow_error
-        raise ValueError(
-            f"sqrt(s*r) * R * exp(sqrt(s*r) * max(|psi|, 1)) must stay below {_PEAK_MAX:g}, "
-            f"so that the inner products stay finite; for (s, r) = ({sig.s}, {sig.r}) and "
-            f"|psi| up to {psi_reach:g} that caps the radius at {radius_max:.6g}, got {radius:g}"
-        )
-    if fault_r_eff:
-        spec = CurveSpec(sig, radius * math.sqrt(sig.r))
-    cfgs = [IntegratorConfig(psi_start, psi_end, k, spec) for k in (steps, *_CONVERGENCE_STEPS)]
-    # the bound above assumes every count is resolved; finer fit runs are when the coarsest is
+    cap = min(curve_max, flow_max)  # the smaller binds, and the curve's at a tie
+    if radius > cap:
+        limit = (f"sqrt(s*r) * R * steps * 2^-53 * exp(sqrt(s*r) * (|psi_start| + span)) must "
+                 f"stay below {_PEAK_MAX:g}, so that the integrated flow's rounding stays finite; "
+                 f"for (s, r) = ({sig.s}, {sig.r}), psi in [{psi_start:g}, {psi_end:g}] and "
+                 f"{steps_max} steps" if flow_max < curve_max else
+                 f"sqrt(s*r) * R * exp(sqrt(s*r) * max(|psi|, 1)) must stay below {_PEAK_MAX:g}, "
+                 f"so that the inner products stay finite; for (s, r) = ({sig.s}, {sig.r}) and "
+                 f"|psi| up to {psi_reach:g}")
+        raise ValueError(f"{limit} that caps the radius at {cap:.6g}, got {radius:g}")
+    # the flow cap assumes every count is resolved; finer fit runs are when the coarsest is
     check_resolved(cfgs[0])
     check_resolved(cfgs[1], f"the convergence fit's {cfgs[1].steps}-step run does not change "
                             "with --steps, so the psi range must narrow")
-    if radius > flow_max:
-        raise flow_error
     check_span(cfgs[-1])  # the finest fit run has the smallest step
+    if fault_r_eff:
+        cfgs = [replace(cfg, spec=CurveSpec(sig, radius * math.sqrt(sig.r))) for cfg in cfgs]
     return cfgs
 
 
@@ -163,7 +156,7 @@ def _flow_checks(plan: list, r2: float) -> list:
     """The integrated flow against the closed form, conservation along it, its fitted order."""
     cfg, *fit_cfgs = plan
     spec, sig = cfg.spec, cfg.spec.sig
-    num, *fits = [integrate(c) for c in plan]
+    num = integrate(cfg)
     psi_max = max(abs(cfg.psi_start), abs(cfg.psi_end))
     dev_bound = 1e-7 * (1.0 + sig.r * spec.r_eff * math.cosh(psi_max * spec.frequency))
     num_p, num_v = num[:, : sig.n], num[:, sig.n :]
@@ -173,7 +166,7 @@ def _flow_checks(plan: list, r2: float) -> list:
         Check("flow_orthogonality", _max_abs(inner_product(num_p, num_v, sig)), 1e-7 * r2),
         Check("flow_uniformity",
               max(_block_spread(num_p, sig.s), _block_spread(num_v, sig.s)), 0.0),
-        Check("convergence_order", abs(convergence_order(fit_cfgs, fits) - 4.0), 0.3),
+        Check("convergence_order", abs(convergence_order(fit_cfgs) - 4.0), 0.3),
     ]
 
 

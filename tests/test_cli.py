@@ -665,7 +665,10 @@ def test_verify_rejects_unresolved_convergence_fit(capsys):
     (["--psi-start=5e-324", "--psi-end=0.0", "--steps", "1"],
      "a slope fit needs a step size above zero, got [4.94066e-324, 0] over 240 steps, "
      "whose step underflows to 0"),
-], ids=["zero-length", "radius-cap", "underflowing-step"])
+    # a non-finite endpoint is named as such, not as a radius cap of 0 it implies
+    (["--psi-end=-inf"], "psi_start and psi_end must be finite, got -2.0 and -inf"),
+    (["--psi-start=inf"], "psi_start and psi_end must be finite, got inf and 2.0"),
+], ids=["zero-length", "radius-cap", "underflowing-step", "psi-end-inf", "psi-start-inf"])
 def test_verify_reports_the_first_cell_error(capsys, argv, message):
     assert main(["verify", "--max-sig", "2", *argv]) == 1
     captured = capsys.readouterr()

@@ -27,9 +27,9 @@ def test_signature_validation():
     for s, r in [(0, 1), (1, 0), (-1, 2), (2, -2)]:
         with pytest.raises(ValueError):
             Signature(s, r)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match=r"must be integers, got \(1\.5, 2\)"):
         Signature(1.5, 2)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match=r"must be integers, got \(True, True\)"):
         Signature(True, True)
     sig = Signature(np.int64(2), 3)
     assert type(sig.s) is int and sig == Signature(2, 3)

@@ -291,24 +291,39 @@ def test_flow_uniformity_bitwise():
 
 
 def runs(spec, psi_start, psi_end, step_counts):
-    # the configs and integrated runs a slope fit takes, one per step count
-    cfgs = [IntegratorConfig(psi_start, psi_end, k, spec) for k in step_counts]
-    return cfgs, [integrate(cfg) for cfg in cfgs]
+    # the configs a slope fit takes, one per step count
+    return [IntegratorConfig(psi_start, psi_end, k, spec) for k in step_counts]
 
 
 def test_convergence_order_estimate():
-    slope = convergence_order(*runs(CurveSpec(Signature(2, 2), 1.0), 0.0, 1.5, (60, 120, 240)))
+    slope = convergence_order(runs(CurveSpec(Signature(2, 2), 1.0), 0.0, 1.5, (60, 120, 240)))
     assert 3.7 <= slope <= 4.3
 
 
 def test_convergence_order_needs_three_counts():
-    with pytest.raises(ValueError):
-        convergence_order(*runs(spec11(), 0.0, 1.0, (100, 200)))
+    with pytest.raises(ValueError, match=r"3 distinct step sizes, got 2 from step counts \[100"):
+        convergence_order(runs(spec11(), 0.0, 1.0, (100, 200)))
+    # one count thrice is one step size, whose line numpy fits only with a warning
+    with pytest.raises(ValueError, match=r"got 1 from step counts \[60, 60, 60\]"):
+        convergence_order(runs(spec11(), 0.0, 1.0, (60, 60, 60)))
+    # distinct counts of a subnormal span can round to one step size
+    with pytest.raises(ValueError, match=r"got 1 from step counts \[11, 12, 13\]"):
+        convergence_order(runs(spec11(), 5e-323, 0.0, (11, 12, 13)))
     with pytest.raises(ValueError, match="psi_start == psi_end"):
-        convergence_order(*runs(spec11(), 5.0, 5.0, (60, 120, 240)))
+        convergence_order(runs(spec11(), 5.0, 5.0, (60, 120, 240)))
     # a span of one subnormal has a step of 0 at every count, whose log is -inf
     with pytest.raises(ValueError, match="0] over 60 steps, whose step underflows to 0"):
-        convergence_order(*runs(spec11(), 5e-324, 0.0, (60, 120, 240)))
+        convergence_order(runs(spec11(), 5e-324, 0.0, (60, 120, 240)))
+    # runs over different intervals or of different curves make no one slope
+    mixed = runs(spec11(), 0.0, 1.0, (60, 120)) + runs(spec11(), 0.0, 2.0, (240,))
+    with pytest.raises(ValueError, match=r"step count only, got .*psi_end=1\.0, steps=60.* and "
+                                         r".*psi_end=2\.0, steps=240"):
+        convergence_order(mixed)
+    larger = CurveSpec(Signature(1, 1), 2.0)
+    mixed = runs(spec11(), 0.0, 1.0, (60,)) + runs(larger, 0.0, 1.0, (120, 240))
+    with pytest.raises(ValueError, match=r"step count only, got .*radius=1\.0\)\) and "
+                                         r".*steps=120.*radius=2\.0\)\)"):
+        convergence_order(mixed)
 
 
 def reference_rhs(y, sig, block_sum=np.sum):

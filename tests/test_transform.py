@@ -1,6 +1,7 @@
 """Tests for boosts, block rotations, and isometry verification."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -295,3 +296,7 @@ def test_map_validation_and_compose_mismatch():
     for shape in ((sig.n,), (5, sig.n, sig.n + 1), (5, 4, 4), ()):
         with pytest.raises(ValueError, match=r"signature \(2,1\)"):
             isometry_defect(np.zeros(shape), sig)
+    # apply takes square maps only, whatever the rows it is given
+    for shape in ((2, 3), (5, 3, 2), (3,), ()):
+        with pytest.raises(ValueError, match=rf"square map .*got shape {re.escape(str(shape))}"):
+            apply(np.ones(shape), [1.0, 2.0, 3.0])

@@ -69,6 +69,9 @@ def test_cell_checks_validation():
             run_sweep(max_sig=max_sig)
     with pytest.raises(ValueError, match=r"at least one radius, got \(\)"):
         run_sweep(max_sig=1, radii=())
+    # a non-finite endpoint is rejected before a radius cap reads it
+    with pytest.raises(ValueError, match="psi_start and psi_end must be finite, got -2.0 and inf"):
+        run_cell_checks(Signature(1, 1), 1.0, psi_end=math.inf)
     # radii given as an iterator reach every signature, not only the first
     assert len(run_sweep(max_sig=np.int64(2), radii=iter([1.0]), steps=400)) == 4
 
@@ -157,6 +160,10 @@ def test_radius_cap_names_the_cap_that_binds():
     for radius in (1e139, 1e137):
         with pytest.raises(ValueError, match=r"integrated flow's rounding.*at 2\.65716e\+136"):
             run_cell_checks(Signature(1, 1), radius, -30.0, 5.0)
+    # the cap is checked once, before RK4 resolution: 10 steps here are too coarse as well,
+    # and the fit's 240 steps set the flow cap
+    with pytest.raises(ValueError, match=r"integrated flow's rounding.*240 steps.*at 2\.2143e\+137"):
+        run_cell_checks(Signature(1, 1), 1e138, -30.0, 5.0, steps=10)
     # at the default range the curve term is the smaller one
     with pytest.raises(ValueError, match=r"inner products stay finite.*at 1\.35335e\+151"):
         run_cell_checks(Signature(1, 1), 1.3e154)
