@@ -17,46 +17,12 @@ are (n, n) arrays. It provides:
 - a CLI for trajectory export and a verification sweep (`cli`, `verify`)
 """
 
-from .geometry import (
-    CurveSpec,
-    Signature,
-    curve_derivative,
-    inner_product,
-)
-from .ode import (
-    IntegratorConfig,
-    closed_form_trajectory,
-    convergence_order,
-    integrate,
-    max_deviation,
-)
-from .bundle import MAX_LIFT_ORDER, bundle_dim, curve_lift
-from .transform import (
-    apply,
-    block_rotation,
-    boost,
-    isometry_defect,
-    random_isometry,
-)
+from . import geometry, ode, bundle, transform
+from .geometry import *  # noqa: F403
+from .ode import *  # noqa: F403
+from .bundle import *  # noqa: F403
+from .transform import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MAX_LIFT_ORDER",
-    "CurveSpec",
-    "IntegratorConfig",
-    "Signature",
-    "apply",
-    "block_rotation",
-    "boost",
-    "bundle_dim",
-    "closed_form_trajectory",
-    "convergence_order",
-    "curve_derivative",
-    "curve_lift",
-    "inner_product",
-    "integrate",
-    "isometry_defect",
-    "max_deviation",
-    "random_isometry",
-]
+__all__ = [*geometry.__all__, *ode.__all__, *bundle.__all__, *transform.__all__]

@@ -6,8 +6,8 @@ first with the base half leading: order 0 is a bare point, order p is the
 lift one order down followed by its parameter derivative. The m-th
 derivative of the curve therefore occupies the slots whose position bits sum
 to m, and the base projection is the first half, `e[..., : e.shape[-1] // 2]`.
-The tower is one `geometry._tower` call. `curve_derivative` stays re-exported
-as `bundle.curve_derivative`, the name `perfbench/tracing.py` traces it by.
+The tower is one `geometry._tower` call. `curve_derivative` stays bound here,
+unexported, as the name `perfbench/tracing.py` traces it by.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .geometry import CurveSpec, _tower, curve_derivative, is_integer
 __all__ = [
     "MAX_LIFT_ORDER",
     "bundle_dim",
-    "curve_derivative",
     "curve_lift",
 ]
 

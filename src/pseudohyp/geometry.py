@@ -25,7 +25,6 @@ import numpy as np
 __all__ = [
     "Signature",
     "CurveSpec",
-    "is_integer",
     "inner_product",
     "curve_derivative",
 ]

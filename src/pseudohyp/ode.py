@@ -25,8 +25,6 @@ from .geometry import CurveSpec, _block_tower, is_integer
 
 __all__ = [
     "IntegratorConfig",
-    "check_resolved",
-    "check_span",
     "integrate",
     "closed_form_trajectory",
     "max_deviation",
@@ -52,6 +50,9 @@ class IntegratorConfig:
         if not is_integer(self.steps) or self.steps < 1:
             raise ValueError(f"steps must be a positive integer, got {self.steps}")
         object.__setattr__(self, "steps", int(self.steps))
+        if self.steps > 2**53:  # formatted as an int: a float cannot hold every such count
+            raise ValueError(f"steps must be at most 2^53 = {2**53}, the largest count whose "
+                             f"step and grid a float holds exactly, got {self.steps}")
         if not (math.isfinite(self.psi_start) and math.isfinite(self.psi_end)):
             raise ValueError(
                 f"psi_start and psi_end must be finite, got {self.psi_start} and {self.psi_end}"

@@ -283,6 +283,13 @@ def test_generate_integrated_matches_closed_form(tmp_path):
     assert np.max(np.abs(a[:, 1:5] - b[:, 1:5])) <= 1e-7
 
 
+# a count past 2^53, the largest whose step and grid a float holds exactly,
+# and one past the float range, which the message must not format as a float
+_STEPS_LIMIT = ("steps must be at most 2^53 = 9007199254740992, the largest count whose step and "
+                "grid a float holds exactly, got ")
+_HUGE_STEPS = "1" + "0" * 400
+
+
 def test_generate_config_errors(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["generate", "--sig", "1,1", "--steps", "0", "--out", str(out)]) == 1
@@ -292,6 +299,12 @@ def test_generate_config_errors(tmp_path, capsys):
     assert main(["generate", "--sig", "0,2", "--out", str(out)]) == 1
     assert "signature needs s >= 1 and r >= 1, got (0, 2)" in capsys.readouterr().err
     assert main(["generate", "--sig", "1,1", "--radius", "0", "--out", str(out)]) == 1
+    capsys.readouterr()
+    # numpy once refused these counts in its own words, naming no flag
+    for steps in (_HUGE_STEPS, "1000000000000000000"):
+        assert main(["generate", "--sig", "1,1", "--steps", steps, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {_STEPS_LIMIT}{steps}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("extra, message", [
@@ -668,7 +681,11 @@ def test_verify_rejects_unresolved_convergence_fit(capsys):
     # a non-finite endpoint is named as such, not as a radius cap of 0 it implies
     (["--psi-end=-inf"], "psi_start and psi_end must be finite, got -2.0 and -inf"),
     (["--psi-start=inf"], "psi_start and psi_end must be finite, got inf and 2.0"),
-], ids=["zero-length", "radius-cap", "underflowing-step", "psi-end-inf", "psi-start-inf"])
+    # the flow cap once multiplied this count by a float: "int too large to convert to float"
+    (["--steps", _HUGE_STEPS], _STEPS_LIMIT + _HUGE_STEPS),
+    (["--steps", "1000000000000000000"], _STEPS_LIMIT + "1000000000000000000"),
+], ids=["zero-length", "radius-cap", "underflowing-step", "psi-end-inf", "psi-start-inf",
+        "steps-past-float", "steps-past-2-53"])
 def test_verify_reports_the_first_cell_error(capsys, argv, message):
     assert main(["verify", "--max-sig", "2", *argv]) == 1
     captured = capsys.readouterr()

@@ -66,6 +66,14 @@ def test_integrator_config_validation():
         IntegratorConfig(0.0, 1.0, True, spec11())
     cfg = IntegratorConfig(0.0, 1.0, np.int64(5), spec11())
     assert type(cfg.steps) is int and cfg.steps == 5
+    # past 2^53 neither the step nor k / steps is exact; a zero-length range
+    # is no exception, and a count past the float range is named as an int
+    assert IntegratorConfig(0.0, 1.0, 2**53, spec11()).step == 2.0**-53
+    limit = rf"steps must be at most 2\^53 = {2**53}, .*, got "
+    for bad in (2**53 + 1, 10**400):
+        for start, end in ((0.0, 1.0), (1.0, 1.0)):
+            with pytest.raises(ValueError, match=f"{limit}{bad}$"):
+                IntegratorConfig(start, end, bad, spec11())
     for start, end in ((0.0, math.nan), (-math.inf, 1.0)):
         with pytest.raises(ValueError, match="psi"):
             IntegratorConfig(start, end, 5, spec11())

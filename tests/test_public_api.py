@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import pseudohyp
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -14,6 +16,12 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 def test_star_import_finds_every_exported_name(module):
     # raises AttributeError for a name left in __all__ after its definition is gone
     exec(f"from {module} import *", {})
+
+
+def test_package_exports_each_module_name_once():
+    # the package's list is derived from the modules' lists; a name exported
+    # by two of them would otherwise appear twice
+    assert len(set(pseudohyp.__all__)) == len(pseudohyp.__all__)
 
 
 def test_readme_quick_start_runs():
