@@ -199,9 +199,16 @@ def _block_tower(spec: CurveSpec, psi, orders) -> list[np.ndarray]:
     return tower
 
 
+def _expand(blocks, sig: Signature, out=None) -> np.ndarray:
+    """Block values (..., 2k), k pairs of time-like then space-like, each repeated
+    over its s or r axes into (..., k*n): the one place n coordinates are laid out."""
+    pairs = blocks.shape[-1] // 2
+    return np.take(blocks, np.repeat(np.arange(2 * pairs), (sig.s, sig.r) * pairs), -1, out)
+
+
 def _tower(spec: CurveSpec, psi, orders) -> list[np.ndarray]:
     """`_block_tower` with each value repeated over its block, as `curve_derivative` gives it."""
-    return [np.repeat(b, (spec.sig.s, spec.sig.r), -1) for b in _block_tower(spec, psi, orders)]
+    return [_expand(b, spec.sig) for b in _block_tower(spec, psi, orders)]
 
 
 def curve_derivative(spec: CurveSpec, psi, m: int) -> np.ndarray:

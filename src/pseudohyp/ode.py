@@ -8,9 +8,9 @@ ones. On a uniform state each block sum is a count times one value, t' = r*x
 and x' = s*t, which keeps integrated blocks bitwise uniform when they start
 uniform. The curve starts uniform, so the one RK4 loop steps four floats per
 sample, the block values t, x, dt and dx. Both producers make a (steps + 1, 4)
-table of them, which `generate` works on; a flow, integrated or closed form,
-repeats each across its block: a plain (steps + 1, 2n) array whose row k is
-[point | velocity] at cfg.grid()[k], the layout of an order-1 `curve_lift`.
+table of them, which `generate` and `verify` work on; a flow, integrated or
+closed form, is one `geometry._expand` of it: a plain (steps + 1, 2n) array
+whose row k is [point | velocity] at cfg.grid()[k], an order-1 `curve_lift`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import CurveSpec, _block_tower, is_integer
+from .geometry import CurveSpec, _block_tower, _expand, is_integer
 
 __all__ = [
     "IntegratorConfig",
@@ -100,9 +100,8 @@ def check_resolved(cfg: IntegratorConfig, remedy: str = "use more --steps") -> N
 
 def _flow(cfg: IntegratorConfig, blocks) -> np.ndarray:
     # allocated first, so a flow too large to hold fails before any block is computed
-    s, r = cfg.spec.sig.s, cfg.spec.sig.r
-    flow = np.empty((cfg.steps + 1 if cfg.psi_end != cfg.psi_start else 1, 2 * (s + r)))
-    return np.take(blocks(cfg), np.repeat(np.arange(4), (s, r, s, r)), axis=1, out=flow)
+    flow = np.empty((cfg.steps + 1 if cfg.psi_end != cfg.psi_start else 1, 2 * cfg.spec.sig.n))
+    return _expand(blocks(cfg), cfg.spec.sig, flow)
 
 
 def _integrate_blocks(cfg: IntegratorConfig) -> np.ndarray:

@@ -15,7 +15,7 @@ from functools import cache
 
 import numpy as np
 
-from .geometry import Signature
+from .geometry import Signature, is_integer
 
 __all__ = [
     "boost",
@@ -52,13 +52,13 @@ def boost(sig: Signature, time_axis: int, space_axis: int, rapidity: float) -> n
     the first s slots, space_axis one of the remaining r. The 2x2 block is
     [[cosh a, sinh a], [sinh a, cosh a]]; rapidities add under composition.
     """
-    if not 0 <= time_axis < sig.s:
+    if not (is_integer(time_axis) and 0 <= time_axis < sig.s):
         raise ValueError(
-            f"time_axis must lie in [0, {sig.s}), got {time_axis}"
+            f"time_axis must be an integer in [0, {sig.s}), got {time_axis!r}"
         )
-    if not sig.s <= space_axis < sig.n:
+    if not (is_integer(space_axis) and sig.s <= space_axis < sig.n):
         raise ValueError(
-            f"space_axis must lie in [{sig.s}, {sig.n}), got {space_axis}"
+            f"space_axis must be an integer in [{sig.s}, {sig.n}), got {space_axis!r}"
         )
     sh = math.sinh(rapidity)
     return _plane(sig.n, time_axis, space_axis, math.cosh(rapidity), sh, sh)
@@ -70,11 +70,11 @@ def block_rotation(sig: Signature, axis1: int, axis2: int, angle: float) -> np.n
     Both axes must be time-like or both space-like (a mixed plane needs a
     boost), and distinct.
     """
+    for name, a in (("axis1", axis1), ("axis2", axis2)):
+        if not (is_integer(a) and 0 <= a < sig.n):
+            raise ValueError(f"{name} must be an integer in [0, {sig.n}), got {a!r}")
     if axis1 == axis2:
         raise ValueError(f"rotation axes must differ, got {axis1} twice")
-    for a in (axis1, axis2):
-        if not 0 <= a < sig.n:
-            raise ValueError(f"axis {a} out of range for n={sig.n}")
     if (axis1 < sig.s) != (axis2 < sig.s):
         raise ValueError(
             f"axes {axis1} and {axis2} lie in different sign blocks; "

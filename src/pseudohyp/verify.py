@@ -3,7 +3,9 @@
 For every grid cell (s, r, R) four check groups run, in order: closed form,
 flow, bundle, and isometry with the (1,1) boost shift. Each evaluates each of
 its psi arrays once, all orders from one tower, and reports every check's
-worst residual against its bound. Random draws are seeded per cell.
+worst residual against its bound. Random draws are seeded per cell. The
+closed-form invariants and main flow run use block values and `_block_inner`,
+bit for bit `inner_product` of the n-wide rows `geometry._expand` lays out.
 
 `fault_r_eff=True` deliberately evaluates the curve with amplitude R instead
 of R/sqrt(r) while still checking against the quadric of R. Cells with r >= 2
@@ -20,9 +22,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bundle import bundle_dim, curve_lift
-from .geometry import CurveSpec, Signature, _tower, curve_derivative, inner_product, is_integer
-from .ode import (IntegratorConfig, check_resolved, check_span, closed_form_trajectory,
-                  convergence_order, integrate, max_deviation)
+from .geometry import (CurveSpec, Signature, _block_inner, _block_tower, _tower, curve_derivative,
+                       inner_product, is_integer)
+from .ode import (IntegratorConfig, _closed_form_blocks, _integrate_blocks, check_resolved,
+                  check_span, convergence_order, max_deviation)
 from .transform import apply, boost, isometry_defect, random_isometry
 
 __all__ = ["DEFAULT_SEED", "Check", "CellReport", "run_cell_checks", "run_sweep"]
@@ -77,14 +80,6 @@ class CellReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def _block_spread(arr: np.ndarray, s: int) -> float:
-    # 0.0 exactly when each block is bitwise uniform: -0.0 beside +0.0 differ
-    # by 0.0 yet print apart, so a difference in sign alone reads 1.0
-    heads = np.empty_like(arr)
-    heads[..., :s], heads[..., s:] = arr[..., :1], arr[..., s : s + 1]
-    return _max_abs(arr - heads) or float(np.any(np.signbit(arr) != np.signbit(heads)))
-
-
 def _max_abs(arr: np.ndarray) -> float:
     return float(np.max(np.abs(arr)))
 
@@ -137,16 +132,15 @@ def _cell_plan(sig, radius, psi_start, psi_end, steps, seed, fault_r_eff) -> lis
 def _closed_form_checks(spec: CurveSpec, r2: float, grid: np.ndarray) -> list:
     """The closed form's invariants on the grid; its velocity against a central difference."""
     sig = spec.sig
-    pts, vel = _tower(spec, grid, (0, 1))
+    pts, vel = _block_tower(spec, grid, (0, 1))
     h = 1e-5
     ahead, behind = _tower(spec, _FD_PSI + [[h], [-h]], (0,))[0]
     fd = (ahead - behind) / (2 * h)
     return [
-        Check("quadric", _max_abs(inner_product(pts, pts, sig) - r2), 1e-9 * r2),
-        Check("orthogonality", _max_abs(inner_product(pts, vel, sig)), 1e-9 * r2),
-        Check("velocity_norm", _max_abs(inner_product(vel, vel, sig) + sig.s * sig.r * r2),
+        Check("quadric", _max_abs(_block_inner(pts, pts, sig) - r2), 1e-9 * r2),
+        Check("orthogonality", _max_abs(_block_inner(pts, vel, sig)), 1e-9 * r2),
+        Check("velocity_norm", _max_abs(_block_inner(vel, vel, sig) + sig.s * sig.r * r2),
               1e-9 * sig.s * sig.r * r2),
-        Check("uniformity", max(_block_spread(pts, sig.s), _block_spread(vel, sig.s)), 0.0),
         Check("velocity_fd", _max_abs(fd - curve_derivative(spec, _FD_PSI, 1)),
               1e-8 * max(1.0, sig.r * spec.r_eff)),
     ]
@@ -156,16 +150,14 @@ def _flow_checks(plan: list, r2: float) -> list:
     """The integrated flow against the closed form, conservation along it, its fitted order."""
     cfg, *fit_cfgs = plan
     spec, sig = cfg.spec, cfg.spec.sig
-    num = integrate(cfg)
+    num = _integrate_blocks(cfg)
     psi_max = max(abs(cfg.psi_start), abs(cfg.psi_end))
     dev_bound = 1e-7 * (1.0 + sig.r * spec.r_eff * math.cosh(psi_max * spec.frequency))
-    num_p, num_v = num[:, : sig.n], num[:, sig.n :]
+    num_p, num_v = num[:, :2], num[:, 2:]
     return [
-        Check("flow_deviation", max_deviation(num, closed_form_trajectory(cfg)), dev_bound),
-        Check("flow_quadric", _max_abs(inner_product(num_p, num_p, sig) - r2), 1e-7 * r2),
-        Check("flow_orthogonality", _max_abs(inner_product(num_p, num_v, sig)), 1e-7 * r2),
-        Check("flow_uniformity",
-              max(_block_spread(num_p, sig.s), _block_spread(num_v, sig.s)), 0.0),
+        Check("flow_deviation", max_deviation(num, _closed_form_blocks(cfg)), dev_bound),
+        Check("flow_quadric", _max_abs(_block_inner(num_p, num_p, sig) - r2), 1e-7 * r2),
+        Check("flow_orthogonality", _max_abs(_block_inner(num_p, num_v, sig)), 1e-7 * r2),
         Check("convergence_order", abs(convergence_order(fit_cfgs) - 4.0), 0.3),
     ]
 

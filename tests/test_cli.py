@@ -600,7 +600,9 @@ def test_verify_rejects_negative_seed_before_integrating(monkeypatch, capsys):
     def unreachable(*args):
         raise AssertionError("integrated before the seed was validated")
 
-    monkeypatch.setattr(verify, "integrate", unreachable)
+    # the main run steps block values, the convergence fit whole flows
+    monkeypatch.setattr(verify, "_integrate_blocks", unreachable)
+    monkeypatch.setattr(ode, "integrate", unreachable)
     assert main(["verify", "--max-sig", "1", "--seed", "-1"]) == 1
     assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
 
@@ -831,7 +833,7 @@ def test_benchmark_tracer_sees_every_traced_layer(tmp_path):
     assert swept["transform.boost"]["calls"] + swept["transform.block_rotation"]["calls"] == 306
     assert swept["geometry.inner_product"]["calls"] <= 36
     assert swept["geometry.velocity_at"]["calls"] == 0
-    # and integrates through the one traced RK4 loop, once per config of
-    # each cell's plan: --steps 2000 and the fit's 60, 120 and 240
-    assert swept["ode.integrate"]["calls"] == 16
-    assert swept["ode.integrate"]["units"] == 4 * (2000 + 60 + 120 + 240)
+    # and integrates through the one traced RK4 loop in each cell's fit, at
+    # 60, 120 and 240 steps; the --steps 2000 run steps block values untraced
+    assert swept["ode.integrate"]["calls"] == 12
+    assert swept["ode.integrate"]["units"] == 4 * (60 + 120 + 240)

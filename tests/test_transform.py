@@ -74,6 +74,33 @@ def test_boost_index_validation():
         boost(sig, 0, 5, 0.1)
 
 
+ONE, MIXED = Signature(1, 1), Signature(1, 3)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: boost(ONE, False, 1, 0.5), "time_axis must be an integer in [0, 1), got False"),
+    (lambda: boost(ONE, 0, True, 0.5), "space_axis must be an integer in [1, 2), got True"),
+    (lambda: boost(ONE, 0.0, 1, 0.5), "time_axis must be an integer in [0, 1), got 0.0"),
+    (lambda: boost(ONE, 0, 1.0, 0.5), "space_axis must be an integer in [1, 2), got 1.0"),
+    (lambda: block_rotation(MIXED, True, 2, 0.3), "axis1 must be an integer in [0, 4), got True"),
+    (lambda: block_rotation(MIXED, 1, False, 0.3), "axis2 must be an integer in [0, 4), got False"),
+    (lambda: block_rotation(MIXED, 1.0, 2, 0.3), "axis1 must be an integer in [0, 4), got 1.0"),
+    (lambda: block_rotation(MIXED, 1, 2.0, 0.3), "axis2 must be an integer in [0, 4), got 2.0"),
+], ids=["boost-false", "boost-true", "boost-float-time", "boost-float-space", "rotation-true",
+        "rotation-false", "rotation-float-1", "rotation-float-2"])
+def test_generators_reject_bool_and_float_axes(build, message):
+    # numpy reads a bool index as a mask, which built maps that are no
+    # isometry, and a float one raises an IndexError that names no argument
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
+def test_generators_take_numpy_integer_axes():
+    assert np.array_equal(boost(ONE, np.int64(0), np.int64(1), 0.5), boost(ONE, 0, 1, 0.5))
+    assert np.array_equal(block_rotation(MIXED, np.int64(1), np.int64(2), 0.3),
+                          block_rotation(MIXED, 1, 2, 0.3))
+
+
 def _eye_fill(n, a, b, c, s_ab, s_ba):
     # the generators' fill before they shared one builder
     m = np.eye(n)

@@ -1,15 +1,17 @@
 """Tests for the verification sweep, including its fault sensitivity."""
 
 import math
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pseudohyp import (CurveSpec, Signature, apply, boost, curve_derivative, inner_product,
-                       isometry_defect, random_isometry)
-from pseudohyp import verify
+from pseudohyp import (CurveSpec, IntegratorConfig, Signature, apply, boost,
+                       closed_form_trajectory, curve_derivative, curve_lift, inner_product,
+                       integrate, isometry_defect, random_isometry)
+from pseudohyp import geometry, ode, verify
 from pseudohyp.verify import run_cell_checks, run_sweep
 
 
@@ -114,7 +116,9 @@ def test_sweep_validates_every_cell_before_integrating(monkeypatch):
     def unreachable(cfg):
         raise AssertionError("integrated before every cell was validated")
 
-    monkeypatch.setattr(verify, "integrate", unreachable)
+    # the main run steps block values, the convergence fit whole flows
+    monkeypatch.setattr(verify, "_integrate_blocks", unreachable)
+    monkeypatch.setattr(ode, "integrate", unreachable)
     # (1,1) and (1,2) are served, and (2,2) is the first cell whose cap 1e150 exceeds
     with pytest.raises(ValueError, match=r"\(s, r\) = \(2, 2\)"):
         run_sweep(max_sig=2, radii=(1e150,))
@@ -144,14 +148,35 @@ def test_sweep_stops_at_the_first_unservable_cell(monkeypatch):
     assert built[-1] == (1, 1746)
 
 
-def test_block_spread_counts_a_difference_in_sign_alone():
-    # -0.0 and +0.0 differ by 0.0, yet repr writes them apart
-    spread = verify._block_spread
-    assert spread(np.array([[-0.0, 0.0, 1.0, 1.0]]), 2) == 1.0
-    assert spread(np.array([[[1.0, 1.0, 0.0, -0.0, 0.0]]]), 2) == 1.0
-    assert spread(np.array([[-0.0, -0.0, 0.0, 0.0], [2.0, 2.0, 3.0, 3.0]]), 2) == 0.0
-    # a spread of values reads as before, signs differing or not
-    assert spread(np.array([[2.0, 1.5, -3.0, 3.0]]), 2) == 6.0
+def test_layout_fault_moves_every_flow_and_fails_the_isometry_images(monkeypatch):
+    # one function lays out the n coordinates; with its counts swapped to
+    # (r, s), every n-wide array moves, and at s != r the isometry images,
+    # whose random maps mix the blocks, are the checks that catch it
+    real = geometry._expand
+
+    def swapped(blocks, sig, out=None):
+        return real(blocks, Signature(sig.r, sig.s), out)
+
+    spec = CurveSpec(Signature(1, 2), 1.0)
+    cfg = IntegratorConfig(-1.0, 1.0, 20, spec)
+
+    def flows():
+        return [curve_derivative(spec, 0.3, 0), curve_lift(spec, 0.3, 2), integrate(cfg),
+                closed_form_trajectory(cfg)]
+
+    before = flows()
+    bound = [(mod, name) for key, mod in list(sys.modules.items()) if key.startswith("pseudohyp")
+             for name, value in vars(mod).items() if value is real]
+    assert len(bound) >= 2  # geometry's own and ode's
+    for mod, name in bound:
+        monkeypatch.setattr(mod, name, swapped)
+    for want, got in zip(before, flows()):
+        assert want.shape == got.shape and not np.array_equal(want, got)
+    for s, r in ((1, 2), (2, 3), (3, 1)):
+        failed = [c.name for c in run_cell_checks(Signature(s, r), 1.0).failures]
+        assert failed == ["isometry_quadric", "isometry_pair_orthogonality"], (s, r)
+    # at s == r the swap is the identity
+    assert run_cell_checks(Signature(2, 2), 1.0).passed
 
 
 def test_radius_cap_names_the_cap_that_binds():
