@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import CurveSpec, _tower, curve_derivative, is_integer
+from .geometry import CurveSpec, _tower, as_integer, curve_derivative
 
 __all__ = [
     "MAX_LIFT_ORDER",
@@ -31,11 +31,8 @@ _DIM_LIMIT = 2**62
 
 def bundle_dim(n: int, p: int) -> int:
     """Coordinate count 2^p * n of an order-p element over an n-manifold."""
-    if not is_integer(n) or n < 1:
-        raise ValueError(f"manifold dimension must be a positive integer, got {n!r}")
-    if not is_integer(p) or p < 0:
-        raise ValueError(f"bundle order must be a non-negative integer, got {p!r}")
-    n, p = int(n), int(p)  # a numpy integer would wrap past 2^63 before the check below
+    # plain ints: a numpy integer would wrap past 2^63 before the check below
+    n, p = as_integer(n, "manifold dimension", 1), as_integer(p, "bundle order", 0)
     if p >= 63 or (1 << p) * n > _DIM_LIMIT:
         raise OverflowError(f"bundle dimension 2^{p} * {n} overflows any practical size")
     return (1 << p) * n
@@ -50,8 +47,7 @@ def curve_lift(spec: CurveSpec, psi, order: int) -> np.ndarray:
     is the lift one order down exactly. Orders above `MAX_LIFT_ORDER` are
     rejected (the flat size doubles per order).
     """
-    if not is_integer(order) or order < 0:
-        raise ValueError(f"lift order must be a non-negative integer, got {order!r}")
+    order = as_integer(order, "lift order", 0)
     if order > MAX_LIFT_ORDER:
         raise ValueError(f"lift order {order} above cap {MAX_LIFT_ORDER}")
     tower = _tower(spec, psi, range(order + 1))

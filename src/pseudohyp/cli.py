@@ -173,7 +173,10 @@ def cmd_generate(args) -> int:
         # renamed over it, so a failed write leaves no partial file
         target = os.path.realpath(args.out)
         tmp = f"{target}.{os.getpid()}.tmp"
-        fh = open(tmp, "x", newline="")
+        try:
+            fh = open(tmp, "x", newline="")
+        except OSError as exc:  # the error names the path given, not the temporary one
+            raise OSError(exc.errno, exc.strerror, args.out) from None
         try:
             with fh:
                 writer(*head, table, fh)

@@ -36,9 +36,20 @@ _SPLITTER = 134217729.0
 
 def is_integer(value) -> bool:
     """True for an integer of any integral type (Python or numpy), not a bool."""
-    # a plain int first: the curve's orders are checked on every evaluation
+    # a plain int skips the far slower ABC check: each random isometry of
+    # `verify` checks the axes of up to five boosts and rotations
     return type(value) is int or (isinstance(value, numbers.Integral)
                                   and not isinstance(value, bool))
+
+
+def as_integer(value, name: str, low: int, high: int | None = None) -> int:
+    """`value` as a plain int if it is an integer (not a bool) in [low, high),
+    the one count check of the library; otherwise a ValueError naming `name` and `value`."""
+    if is_integer(value) and low <= value and (high is None or value < high):
+        return int(value)
+    kind = (f"an integer in [{low}, {high})" if high is not None
+            else {0: "a non-negative integer", 1: "a positive integer"}[low])
+    raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -167,10 +178,8 @@ def _block_inner(u, v, sig: Signature):
 
 def _block_tower(spec: CurveSpec, psi, orders) -> list[np.ndarray]:
     """The derivatives of the listed orders at psi, each as (..., 2) block
-    values, time-like then space-like, from one sinh and one cosh per sample."""
-    for m in orders:
-        if not is_integer(m) or m < 0:
-            raise ValueError(f"derivative order must be a non-negative integer, got {m!r}")
+    values, time-like then space-like, from one sinh and one cosh per sample.
+    The orders are trusted to be non-negative ints: callers check their own."""
     sig, w, r_eff = spec.sig, spec.frequency, spec.r_eff
     with np.errstate(over="ignore"):  # an infinite w*psi is the one error raised below
         arg = w * np.asarray(psi, dtype=float)
@@ -221,9 +230,10 @@ def curve_derivative(spec: CurveSpec, psi, m: int) -> np.ndarray:
     cosh(w*psi) and w * R_eff * (s*r)^k * sinh(w*psi). Each block is filled
     from one value per sample, so its entries are bitwise identical.
     math.sinh/cosh keep every row equal to the scalar formula, and raise
-    OverflowError once |w*psi| exceeds about 710.
+    OverflowError once |w*psi| exceeds about 710. An m that is not a
+    non-negative integer (a bool or a float included) raises ValueError.
     """
-    return _tower(spec, psi, (m,))[0]
+    return _tower(spec, psi, (as_integer(m, "derivative order", 0),))[0]
 
 
 def point_at(psi: float, spec: CurveSpec) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import CurveSpec, _block_tower, _expand, is_integer
+from .geometry import CurveSpec, _block_tower, _expand, as_integer
 
 __all__ = [
     "IntegratorConfig",
@@ -47,9 +47,7 @@ class IntegratorConfig:
     spec: CurveSpec
 
     def __post_init__(self):
-        if not is_integer(self.steps) or self.steps < 1:
-            raise ValueError(f"steps must be a positive integer, got {self.steps}")
-        object.__setattr__(self, "steps", int(self.steps))
+        object.__setattr__(self, "steps", as_integer(self.steps, "steps", 1))
         if self.steps > 2**53:  # formatted as an int: a float cannot hold every such count
             raise ValueError(f"steps must be at most 2^53 = {2**53}, the largest count whose "
                              f"step and grid a float holds exactly, got {self.steps}")

@@ -15,7 +15,7 @@ from functools import cache
 
 import numpy as np
 
-from .geometry import Signature, is_integer
+from .geometry import Signature, as_integer
 
 __all__ = [
     "boost",
@@ -52,14 +52,8 @@ def boost(sig: Signature, time_axis: int, space_axis: int, rapidity: float) -> n
     the first s slots, space_axis one of the remaining r. The 2x2 block is
     [[cosh a, sinh a], [sinh a, cosh a]]; rapidities add under composition.
     """
-    if not (is_integer(time_axis) and 0 <= time_axis < sig.s):
-        raise ValueError(
-            f"time_axis must be an integer in [0, {sig.s}), got {time_axis!r}"
-        )
-    if not (is_integer(space_axis) and sig.s <= space_axis < sig.n):
-        raise ValueError(
-            f"space_axis must be an integer in [{sig.s}, {sig.n}), got {space_axis!r}"
-        )
+    time_axis = as_integer(time_axis, "time_axis", 0, sig.s)
+    space_axis = as_integer(space_axis, "space_axis", sig.s, sig.n)
     sh = math.sinh(rapidity)
     return _plane(sig.n, time_axis, space_axis, math.cosh(rapidity), sh, sh)
 
@@ -70,9 +64,7 @@ def block_rotation(sig: Signature, axis1: int, axis2: int, angle: float) -> np.n
     Both axes must be time-like or both space-like (a mixed plane needs a
     boost), and distinct.
     """
-    for name, a in (("axis1", axis1), ("axis2", axis2)):
-        if not (is_integer(a) and 0 <= a < sig.n):
-            raise ValueError(f"{name} must be an integer in [0, {sig.n}), got {a!r}")
+    axis1, axis2 = as_integer(axis1, "axis1", 0, sig.n), as_integer(axis2, "axis2", 0, sig.n)
     if axis1 == axis2:
         raise ValueError(f"rotation axes must differ, got {axis1} twice")
     if (axis1 < sig.s) != (axis2 < sig.s):

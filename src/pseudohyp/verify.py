@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bundle import bundle_dim, curve_lift
-from .geometry import (CurveSpec, Signature, _block_inner, _block_tower, _tower, curve_derivative,
-                       inner_product, is_integer)
+from .geometry import (CurveSpec, Signature, _block_inner, _block_tower, _tower, as_integer,
+                       curve_derivative, inner_product)
 from .ode import (IntegratorConfig, _closed_form_blocks, _integrate_blocks, check_resolved,
                   check_span, convergence_order, max_deviation)
 from .transform import apply, boost, isometry_defect, random_isometry
@@ -92,8 +92,7 @@ def _cell_plan(sig, radius, psi_start, psi_end, steps, seed, fault_r_eff) -> lis
     inputs, then the one radius cap, RK4 resolution and a step that underflows.
     """
     # numpy seeds a generator from non-negative integers only
-    if not is_integer(seed) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    as_integer(seed, "seed", 0)
     spec = CurveSpec(sig, radius)
     cfgs = [IntegratorConfig(psi_start, psi_end, k, spec) for k in (steps, *_CONVERGENCE_STEPS)]
     # inner products sum squared coordinates: on the grid their partial sums
@@ -245,8 +244,7 @@ def run_sweep(max_sig: int = 4, radii=(1.0,), **cell):
     cell. Returns one CellReport per (s, r, radius), ordered by (s, r, radius).
     Every cell is validated before any is integrated.
     """
-    if not is_integer(max_sig) or max_sig < 1:
-        raise ValueError(f"max_sig must be an integer of at least 1, got {max_sig!r}")
+    max_sig = as_integer(max_sig, "max_sig", 1)
     values = [float(radius) for radius in radii]
     if not values:
         raise ValueError(f"radii must hold at least one radius, got {radii!r}")

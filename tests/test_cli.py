@@ -490,7 +490,10 @@ def test_generate_unwritable_path(tmp_path, capsys):
     missing = tmp_path / "no_such_dir" / "traj.csv"
     code = main(["generate", "--sig", "1,1", "--out", str(missing)])
     assert code == 2
-    assert "error" in capsys.readouterr().err
+    # the message names the path given, not the temporary file written beside it
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(str(missing)) in err and ".tmp" not in err
+    assert not missing.parent.exists()
 
 
 def test_dims_outputs(capsys):

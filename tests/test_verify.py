@@ -67,8 +67,14 @@ def test_cell_checks_validation():
         run_sweep(max_sig=0)
     # a bool or a float is no signature count, and a sweep over no radius checks nothing
     for max_sig in (True, 1.5):
-        with pytest.raises(ValueError, match=f"max_sig must be an integer.*got {max_sig}"):
+        with pytest.raises(ValueError, match=f"max_sig must be a positive integer, got {max_sig}"):
             run_sweep(max_sig=max_sig)
+    # a seed is checked by the library, not only by the CLI, and a numpy one is taken as is
+    for seed in (True, 1.5, -1):
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}$"):
+            run_cell_checks(Signature(1, 1), 1.0, seed=seed)
+    assert (run_cell_checks(Signature(1, 1), 1.0, seed=np.int64(3))
+            == run_cell_checks(Signature(1, 1), 1.0, seed=3))
     with pytest.raises(ValueError, match=r"at least one radius, got \(\)"):
         run_sweep(max_sig=1, radii=())
     # a non-finite endpoint is rejected before a radius cap reads it
