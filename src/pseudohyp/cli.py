@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from functools import cache
-from operator import itemgetter
+from itertools import chain
 
 import numpy as np
 
@@ -87,8 +87,8 @@ def _sample_values(cfg: IntegratorConfig, blocks: np.ndarray) -> np.ndarray:
 
 def _write_rows(sig: Signature, table: np.ndarray, fmt: str, row: str, sep: str, stream) -> None:
     # Per block of `_BLOCK_ROWS` rows, one `%` formats its distinct values column
-    # by column (no float's text holds a newline), so value (c, j) is text[c*k + j];
-    # one itemgetter gathers each row's texts in the output column order that
+    # by column (no float's text holds a newline), so column c's texts are
+    # texts[c*k : (c+1)*k]; zip walks those columns in the output order that
     # `_expand` lays out, and one `%` fills `row`, a %s per column, once per row.
     order = [0, *(1 + _expand(np.arange(4), sig)).tolist(), 5, 6]
     templates = {}  # per block length, so at most two
@@ -96,11 +96,13 @@ def _write_rows(sig: Signature, table: np.ndarray, fmt: str, row: str, sep: str,
         block = table[i : i + _BLOCK_ROWS]
         k = len(block)
         if k not in templates:
-            templates[k] = ("\n".join([fmt] * 7 * k), sep.join([row] * k),
-                            itemgetter(*[c * k + j for j in range(k) for c in order]))
-        values, template, gather = templates[k]
+            templates[k] = ("\n".join([fmt] * 7 * k), sep.join([row] * k))
+        values, template = templates[k]
+        texts = (values % tuple(block.T.ravel().tolist())).split("\n")
+        columns = [texts[c * k : (c + 1) * k] for c in range(7)]
         stream.write(sep if i else "")
-        stream.write(template % gather((values % tuple(block.T.ravel().tolist())).split("\n")))
+        stream.write(template % tuple(chain.from_iterable(zip(*[columns[c] for c in order]))))
+        del texts, columns  # so the next block's texts are made without this one's
 
 
 def write_csv(spec: CurveSpec, table: np.ndarray, stream) -> None:

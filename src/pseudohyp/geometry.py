@@ -207,11 +207,11 @@ def _block_tower(spec: CurveSpec, psi, orders) -> np.ndarray:
     return table.reshape(arg.shape + (2 * len(orders),))
 
 
-def _expand(blocks, sig: Signature, out=None) -> np.ndarray:
+def _expand(blocks, sig: Signature) -> np.ndarray:
     """Block values (..., 2k), k pairs of time-like then space-like, each repeated
     over its s or r axes into (..., k*n): the one place n coordinates are laid out."""
     pairs = blocks.shape[-1] // 2
-    return np.take(blocks, np.repeat(np.arange(2 * pairs), (sig.s, sig.r) * pairs), -1, out)
+    return np.take(blocks, np.repeat(np.arange(2 * pairs), (sig.s, sig.r) * pairs), -1)
 
 
 def curve_derivative(spec: CurveSpec, psi, m: int) -> np.ndarray:

@@ -96,12 +96,6 @@ def check_resolved(cfg: IntegratorConfig, remedy: str = "use more --steps") -> N
         )
 
 
-def _flow(cfg: IntegratorConfig, blocks) -> np.ndarray:
-    # allocated first, so a flow too large to hold fails before any block is computed
-    flow = np.empty((cfg.steps + 1 if cfg.psi_end != cfg.psi_start else 1, 2 * cfg.spec.sig.n))
-    return _expand(blocks(cfg), cfg.spec.sig, flow)
-
-
 def _integrate_blocks(cfg: IntegratorConfig) -> np.ndarray:
     """`integrate`'s flow as block values, a (steps + 1, 4) table [t, x, dt, dx]."""
     s, r = cfg.spec.sig.s, cfg.spec.sig.r
@@ -145,7 +139,7 @@ def integrate(cfg: IntegratorConfig) -> np.ndarray:
     (steps + 1, 2n) array whose row k is [point | velocity] at cfg.grid()[k].
     Deterministic for fixed inputs.
     """
-    return _flow(cfg, _integrate_blocks)
+    return _expand(_integrate_blocks(cfg), cfg.spec.sig)
 
 
 def _closed_form_blocks(cfg: IntegratorConfig) -> np.ndarray:
@@ -159,7 +153,7 @@ def closed_form_trajectory(cfg: IntegratorConfig) -> np.ndarray:
     Laid out as `integrate`'s flow: row k is `curve_derivative` of order 0,
     then of order 1, at cfg.grid()[k], bit for bit.
     """
-    return _flow(cfg, _closed_form_blocks)
+    return _expand(_closed_form_blocks(cfg), cfg.spec.sig)
 
 
 def max_deviation(a: np.ndarray, b: np.ndarray) -> float:

@@ -12,7 +12,7 @@ import pytest
 from pseudohyp import (CurveSpec, IntegratorConfig, Signature, apply, boost,
                        closed_form_trajectory, curve_derivative, curve_lift, inner_product,
                        integrate, isometry_defect, random_isometry)
-from pseudohyp import bundle, cli, geometry, ode, verify
+from pseudohyp import bundle, cli, geometry, ode, transform, verify
 from pseudohyp.verify import run_cell_checks, run_sweep
 
 
@@ -175,8 +175,8 @@ def test_layout_fault_moves_every_flow_and_fails_the_isometry_images(monkeypatch
     # that catch it
     real = geometry._expand
 
-    def swapped(blocks, sig, out=None):
-        return real(blocks, Signature(sig.r, sig.s), out)
+    def swapped(blocks, sig):
+        return real(blocks, Signature(sig.r, sig.s))
 
     spec = CurveSpec(Signature(1, 2), 1.0)
     cfg = IntegratorConfig(-1.0, 1.0, 20, spec)
@@ -235,6 +235,147 @@ def test_bundle_fault_fails_only_the_lift_projection(monkeypatch):
     assert _patch_every_binding(monkeypatch, real, halves_swapped) >= 3  # bundle, verify, package
     for s, r in ((1, 1), (2, 3)):
         assert _failed_checks(s, r) == ["lift_projection"], (s, r)
+
+
+# The checks each planted fault fails, over the cells its test tries. The
+# coverage guard below requires every check the sweep reports to be in one.
+_PLANTED = {
+    # `fault_r_eff=True`, at r >= 2 (test_r_eff_fault_fails_exactly_the_quadric_family)
+    "r-eff": {"quadric", "velocity_norm", "flow_quadric", "isometry_quadric"},
+    # test_layout_fault_moves_every_flow_and_fails_the_isometry_images
+    "layout": {"isometry_quadric", "isometry_pair_orthogonality"},
+    # test_closed_form_fault_fails_every_check_of_an_odd_order
+    "closed form": {"orthogonality", "velocity_fd", "flow_deviation", "convergence_order",
+                    "lift_fd", "isometry_pair_orthogonality"},
+    # test_bundle_fault_fails_only_the_lift_projection
+    "bundle": {"lift_projection"},
+    # the tests below
+    "flow order": {"flow_deviation", "flow_quadric", "convergence_order"},
+    "flow right-hand side": {"flow_deviation", "flow_quadric", "flow_orthogonality",
+                             "convergence_order"},
+    "isometry": {"isometry_defect", "isometry_form", "isometry_quadric",
+                 "isometry_pair_orthogonality", "boost_translation"},
+    "bundle dimension": {"lift_dims"},
+    "tower scale": {"lift_second_derivative", "lift_fd"},
+}
+
+
+def test_every_check_is_failed_by_a_planted_fault():
+    # a check that no planted fault fails could pass on any code: a new check
+    # lands with a fault that fails it
+    names = {c.name for c in run_cell_checks(Signature(1, 1), 1.0, steps=300).checks}
+    assert names <= set().union(*_PLANTED.values()), names - set().union(*_PLANTED.values())
+    assert len(names) == 17
+
+
+def test_r_eff_fault_fails_exactly_the_quadric_family():
+    for s, r in ((1, 2), (2, 3), (4, 4)):
+        failed = [c.name for c in run_cell_checks(Signature(s, r), 1.0, fault_r_eff=True).failures]
+        assert set(failed) == _PLANTED["r-eff"], (s, r)
+    assert run_cell_checks(Signature(3, 1), 1.0, fault_r_eff=True).passed
+
+
+def _runge_kutta_blocks(tableau, rates):
+    """An explicit Runge-Kutta scheme with `tableau` (a, b) on the block flow
+    t' = c_t*x, x' = c_x*t, (c_t, c_x) = rates(s, r), laid out as
+    `ode._integrate_blocks`' (steps + 1, 4) table [t, x, dt, dx]."""
+    a, b = tableau
+
+    def integrate_blocks(cfg):
+        c_t, c_x = rates(cfg.spec.sig.s, cfg.spec.sig.r)
+        h = cfg.step
+        t, x = geometry._block_tower(cfg.spec, cfg.psi_start, (0,)).tolist()
+        rows = [(t, x)]
+        for _ in range(cfg.steps if cfg.psi_end != cfg.psi_start else 0):
+            stages = []
+            for row in a:
+                kt = sum(w * k[0] for w, k in zip(row, stages))
+                kx = sum(w * k[1] for w, k in zip(row, stages))
+                stages.append((c_t * (x + h * kx), c_x * (t + h * kt)))
+            t += h * sum(w * k[0] for w, k in zip(b, stages))
+            x += h * sum(w * k[1] for w, k in zip(b, stages))
+            rows.append((t, x))
+        pts = np.array(rows)
+        return np.column_stack((pts, c_t * pts[:, 1], c_x * pts[:, 0]))
+
+    return integrate_blocks
+
+
+_RK4 = ([[], [0.5], [0.0, 0.5], [0.0, 0.0, 1.0]], [1 / 6, 1 / 3, 1 / 3, 1 / 6])
+_KUTTA3 = ([[], [0.5], [-1.0, 2.0]], [1 / 6, 2 / 3, 1 / 6])
+
+
+@pytest.mark.parametrize("fault, tableau, rates, want", [
+    # the classic scheme on the true flow t' = r*x, x' = s*t passes every check
+    (None, _RK4, lambda s, r: (r, s), {(1, 1): [], (2, 3): [], (4, 4): []}),
+    # a third-order scheme breaks the fitted order, and at (4,4), where w*h is
+    # largest, its truncation shows in the flow itself
+    ("flow order", _KUTTA3, lambda s, r: (r, s), {
+        **dict.fromkeys([(1, 1), (1, 2), (2, 3), (3, 1)], ["convergence_order"]),
+        (4, 4): ["flow_deviation", "flow_quadric", "convergence_order"]}),
+    # dt = s*x in place of r*x: the velocity leaves the tangent space, which
+    # at s == r is the true flow again
+    ("flow right-hand side", _RK4, lambda s, r: (s, s), {
+        **dict.fromkeys([(1, 2), (2, 3), (3, 1)], ["flow_deviation", "flow_quadric",
+                                                   "flow_orthogonality", "convergence_order"]),
+        (2, 2): []}),
+], ids=["control", "order", "right-hand side"])
+def test_flow_faults_fail_exactly_the_flow_checks(monkeypatch, fault, tableau, rates, want):
+    fake = _runge_kutta_blocks(tableau, rates)
+    assert _patch_every_binding(monkeypatch, ode._integrate_blocks, fake) >= 3  # ode, verify, cli
+    for (s, r), failed in want.items():
+        assert _failed_checks(s, r) == failed, (s, r)
+    assert set().union(*want.values()) == _PLANTED.get(fault, set())
+
+
+def test_isometry_fault_fails_exactly_the_isometry_checks(monkeypatch):
+    # a boost whose [space_axis, time_axis] entry is negated is a rotation-like
+    # map, no isometry; every random map the sweep draws holds boosts
+    real = transform.boost
+
+    def skewed(sig, time_axis, space_axis, rapidity):
+        m = real(sig, time_axis, space_axis, rapidity)
+        m[space_axis, time_axis] *= -1.0
+        return m
+
+    assert _patch_every_binding(monkeypatch, real, skewed) >= 3  # transform, verify, package
+    isometry = ["isometry_defect", "isometry_form", "isometry_quadric",
+                "isometry_pair_orthogonality"]
+    assert _failed_checks(1, 1) == [*isometry, "boost_translation"]
+    for s, r in ((1, 2), (2, 3), (3, 1), (2, 2)):
+        assert _failed_checks(s, r) == isometry, (s, r)
+    assert {*isometry, "boost_translation"} == _PLANTED["isometry"]
+
+
+def test_bundle_dim_fault_fails_only_the_lift_dims(monkeypatch):
+    def added(n, p):
+        return (1 << p) + n
+
+    assert _patch_every_binding(monkeypatch, bundle.bundle_dim, added) >= 3  # bundle, verify, cli
+    for s, r in ((1, 1), (2, 3)):
+        assert _failed_checks(s, r) == ["lift_dims"], (s, r)
+    assert _PLANTED["bundle dimension"] == {"lift_dims"}
+
+
+def test_tower_scale_fault_fails_the_second_derivative_and_the_lift_fd(monkeypatch):
+    # order m >= 2 scaled by ((s+r)/(s*r))^(m//2) carries (s+r)^(m//2) where
+    # the curve has (s*r)^(m//2): no check below order 2 sees it, and at
+    # (2,2), where s + r == s*r, it is the identity
+    real = geometry._block_tower
+
+    def rescaled(spec, psi, orders):
+        orders = list(orders)
+        table = real(spec, psi, orders)
+        s, r = spec.sig.s, spec.sig.r
+        for i, m in enumerate(orders):
+            table[..., 2 * i : 2 * i + 2] *= ((s + r) / (s * r)) ** (m // 2) if m >= 2 else 1.0
+        return table
+
+    assert _patch_every_binding(monkeypatch, real, rescaled) >= 5  # with bundle and cli
+    for s, r in ((1, 1), (1, 2), (2, 3), (3, 1)):
+        assert _failed_checks(s, r) == ["lift_second_derivative", "lift_fd"], (s, r)
+    assert run_cell_checks(Signature(2, 2), 1.0).passed
+    assert _PLANTED["tower scale"] == {"lift_second_derivative", "lift_fd"}
 
 
 def test_radius_cap_names_the_cap_that_binds():
