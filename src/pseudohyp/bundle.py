@@ -44,10 +44,8 @@ def curve_lift(spec: CurveSpec, psi, order: int) -> np.ndarray:
     Returns a (2^p * n,) array for a scalar psi, or one such row per value
     of a psi array. The order-0 lift is the curve point itself; the order-p
     lift pairs the order-(p-1) lift with its derivative, so its first half
-    is the lift one order down exactly. Orders above `MAX_LIFT_ORDER` are
-    rejected (the flat size doubles per order).
+    is the lift one order down exactly. The order must be an integer in
+    [0, MAX_LIFT_ORDER], checked by `as_integer`: the flat size doubles per order.
     """
-    order = as_integer(order, "lift order", 0)
-    if order > MAX_LIFT_ORDER:
-        raise ValueError(f"lift order {order} above cap {MAX_LIFT_ORDER}")
+    order = as_integer(order, "lift order", 0, MAX_LIFT_ORDER + 1)
     return _expand(_block_tower(spec, psi, [j.bit_count() for j in range(1 << order)]), spec.sig)

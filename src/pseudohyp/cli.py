@@ -165,8 +165,8 @@ def cmd_generate(args) -> int:
     writer = write_csv if args.format == "csv" else write_json
     if args.out is None:
         writer(*head, table, sys.stdout)
-    elif os.path.exists(args.out) and not os.path.isfile(args.out):
-        # a device or FIFO, such as /dev/stdout, cannot be renamed over
+    elif not args.out or os.path.exists(args.out) and not os.path.isfile(args.out):
+        # a device or FIFO (/dev/stdout) cannot be renamed over; "" fails as open("") does
         with open(args.out, "w", newline="") as fh:
             writer(*head, table, fh)
     else:

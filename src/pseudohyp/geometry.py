@@ -34,18 +34,13 @@ __all__ = [
 _SPLITTER = 134217729.0
 
 
-def is_integer(value) -> bool:
-    """True for an integer of any integral type (Python or numpy), not a bool."""
-    # a plain int skips the far slower ABC check: each random isometry of
-    # `verify` checks the axes of up to five boosts and rotations
-    return type(value) is int or (isinstance(value, numbers.Integral)
-                                  and not isinstance(value, bool))
-
-
 def as_integer(value, name: str, low: int, high: int | None = None) -> int:
-    """`value` as a plain int if it is an integer (not a bool) in [low, high),
-    the one count check of the library; otherwise a ValueError naming `name` and `value`."""
-    if is_integer(value) and low <= value and (high is None or value < high):
+    """`value` as a plain int if it is a Python or numpy integer (not a bool) in [low, high),
+    the library's one integer check; otherwise a ValueError naming `name` and `value`."""
+    # a plain int skips the far slower ABC check: `run_sweep(max_sig=2)` checks
+    # 612 generator axes of its random isometries
+    if ((type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool))
+            and low <= value and (high is None or value < high)):
         return int(value)
     kind = (f"an integer in [{low}, {high})" if high is not None
             else {0: "a non-negative integer", 1: "a positive integer"}[low])
@@ -56,20 +51,16 @@ def as_integer(value, name: str, low: int, high: int | None = None) -> int:
 class Signature:
     """Axis counts of the quadratic form: s minus signs, r plus signs.
 
-    Degenerate signatures (s = 0 or r = 0) are rejected: the curve formulas
-    divide by s and by sqrt(r).
+    Each count must be a positive integer, by `as_integer`'s rule: the curve
+    formulas divide by s and by sqrt(r).
     """
 
     s: int
     r: int
 
     def __post_init__(self):
-        if not is_integer(self.s) or not is_integer(self.r):
-            raise ValueError(f"signature counts must be integers, got ({self.s!r}, {self.r!r})")
-        object.__setattr__(self, "s", int(self.s))
-        object.__setattr__(self, "r", int(self.r))
-        if self.s < 1 or self.r < 1:
-            raise ValueError(f"signature needs s >= 1 and r >= 1, got ({self.s}, {self.r})")
+        object.__setattr__(self, "s", as_integer(self.s, "signature count s", 1))
+        object.__setattr__(self, "r", as_integer(self.r, "signature count r", 1))
 
     @property
     def n(self) -> int:

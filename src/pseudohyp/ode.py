@@ -38,7 +38,7 @@ class IntegratorConfig:
 
     `steps` is the number of intervals; the sample grid includes both
     endpoints. A reversed interval (psi_end < psi_start) is allowed and
-    produces a negative step.
+    produces a negative step. Both endpoints are stored as Python floats.
     """
 
     psi_start: float
@@ -47,6 +47,8 @@ class IntegratorConfig:
     spec: CurveSpec
 
     def __post_init__(self):
+        object.__setattr__(self, "psi_start", float(self.psi_start))
+        object.__setattr__(self, "psi_end", float(self.psi_end))
         object.__setattr__(self, "steps", as_integer(self.steps, "steps", 1))
         if self.steps > 2**53:  # formatted as an int: a float cannot hold every such count
             raise ValueError(f"steps must be at most 2^53 = {2**53}, the largest count whose "
@@ -70,7 +72,7 @@ class IntegratorConfig:
         psi_end * f with f = k / steps. Both endpoints are kept bit for bit,
         -0.0 included; a zero-length interval has the one sample psi_start.
         """
-        a, b = float(self.psi_start), float(self.psi_end)
+        a, b = self.psi_start, self.psi_end
         if a == b:
             return np.array([a])
         f = np.arange(self.steps + 1) / self.steps

@@ -96,6 +96,7 @@ def _cell_plan(sig, radius, psi_start, psi_end, steps, seed, fault_r_eff) -> lis
     as_integer(seed, "seed", 0)
     spec = CurveSpec(sig, radius)
     cfgs = [IntegratorConfig(psi_start, psi_end, k, spec) for k in (steps, *_CONVERGENCE_STEPS)]
+    psi_start, psi_end = cfgs[0].psi_start, cfgs[0].psi_end  # so the caps are binary64 too
     # inner products sum squared coordinates: on the grid their partial sums
     # reach 2*s*r*(R*cosh(w*psi))^2, and the isometry images at |psi| <= 1 up
     # to e^6 times that (five boosts of rapidity <= 0.6); with
@@ -228,7 +229,7 @@ def run_cell_checks(
     plan = _cell_plan(sig, radius, psi_start, psi_end, steps, seed, fault_r_eff)
     cfg, r2 = plan[0], radius * radius
     rng = np.random.default_rng([seed, sig.s, sig.r, int(round(radius * 1e6))])
-    grid = np.linspace(psi_start, psi_end, _CLOSED_FORM_SAMPLES)
+    grid = np.linspace(cfg.psi_start, cfg.psi_end, _CLOSED_FORM_SAMPLES)
     checks = (_closed_form_checks(cfg.spec, r2, grid) + _flow_checks(plan, r2)
               + _bundle_checks(cfg.spec) + _isometry_checks(cfg, r2, rng))
     return CellReport(sig, radius, tuple(checks))

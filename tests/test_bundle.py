@@ -170,7 +170,7 @@ def test_lift_order_cap():
     spec = CurveSpec(Signature(1, 1), 1.0)
     e = curve_lift(spec, 0.0, MAX_LIFT_ORDER)
     assert MAX_LIFT_ORDER == 6 and e.shape == (bundle_dim(2, 6),)
-    with pytest.raises(ValueError, match="above cap 6"):
+    with pytest.raises(ValueError, match=r"lift order must be an integer in \[0, 7\), got 7"):
         curve_lift(spec, 0.0, 7)
     with pytest.raises(ValueError):
         curve_lift(spec, 0.0, -1)
@@ -180,7 +180,7 @@ def test_curve_lift_rejects_non_integer_orders():
     # a bool would pass as an order and build a lift; it is refused with the floats
     spec = CurveSpec(Signature(2, 3), 1.0)
     for order in (True, False, 1.5, 2.0, "1"):
-        with pytest.raises(ValueError, match=f"lift order must be a non-negative integer, "
+        with pytest.raises(ValueError, match=fr"lift order must be an integer in \[0, 7\), "
                                              f"got {order!r}"):
             curve_lift(spec, PSI_ROWS, order)
     assert np.array_equal(curve_lift(spec, PSI_ROWS, np.int64(2)), curve_lift(spec, PSI_ROWS, 2))

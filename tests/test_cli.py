@@ -297,7 +297,7 @@ def test_generate_config_errors(tmp_path, capsys):
     assert main(["generate", "--sig", "1", "--out", str(out)]) == 1
     assert "expected S,R_COUNT (for example 1,3), got '1'" in capsys.readouterr().err
     assert main(["generate", "--sig", "0,2", "--out", str(out)]) == 1
-    assert "signature needs s >= 1 and r >= 1, got (0, 2)" in capsys.readouterr().err
+    assert "signature count s must be a positive integer, got 0" in capsys.readouterr().err
     assert main(["generate", "--sig", "1,1", "--radius", "0", "--out", str(out)]) == 1
     capsys.readouterr()
     # numpy once refused these counts in its own words, naming no flag
@@ -494,6 +494,18 @@ def test_generate_unwritable_path(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and repr(str(missing)) in err and ".tmp" not in err
     assert not missing.parent.exists()
+
+
+def test_generate_empty_out_path_writes_nothing(tmp_path, monkeypatch, capsys):
+    # realpath("") is the working directory, so the table once went to
+    # <cwd>.<pid>.tmp beside it and its rename over the directory failed
+    cwd = tmp_path / "work"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(["generate", "--sig", "1,1", "--steps", "4", "--out", ""]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: [Errno 2] No such file or directory: ''\n"
+    assert list(tmp_path.iterdir()) == [cwd] and list(cwd.iterdir()) == []
 
 
 def test_dims_outputs(capsys):

@@ -1,5 +1,6 @@
 """Tests for the signature product, the quadric, and the closed-form curve."""
 
+import enum
 import math
 import re
 from fractions import Fraction
@@ -12,11 +13,15 @@ from hypothesis.extra.numpy import arrays
 
 from pseudohyp import (
     CurveSpec,
+    IntegratorConfig,
     Signature,
+    boost,
     curve_derivative,
+    curve_lift,
     inner_product,
 )
 from pseudohyp.geometry import _block_inner, _block_tower
+from pseudohyp.verify import run_cell_checks
 
 SIGS = [Signature(s, r) for s in range(1, 5) for r in range(1, 5)]
 RADII = (0.5, 1.0, 2.0)
@@ -27,12 +32,51 @@ def test_signature_validation():
     for s, r in [(0, 1), (1, 0), (-1, 2), (2, -2)]:
         with pytest.raises(ValueError):
             Signature(s, r)
-    with pytest.raises(ValueError, match=r"must be integers, got \(1\.5, 2\)"):
+    with pytest.raises(ValueError, match=r"signature count s must be a positive integer, got 1\.5"):
         Signature(1.5, 2)
-    with pytest.raises(ValueError, match=r"must be integers, got \(True, True\)"):
+    with pytest.raises(ValueError, match=r"signature count s must be a positive integer, got True"):
         Signature(True, True)
     sig = Signature(np.int64(2), 3)
     assert type(sig.s) is int and sig == Signature(2, 3)
+
+
+class _Count(enum.IntEnum):
+    TWO = 2
+
+
+_SPEC = CurveSpec(Signature(2, 3), 1.0)
+_PSI = np.array([-0.5, 0.25])
+
+# each integer input as a call of its value, and a value just outside its range
+_INTEGER_INPUTS = {
+    "signature count s": (lambda v: Signature(v, 1), 0),
+    "signature count r": (lambda v: Signature(1, v), 0),
+    "steps": (lambda v: IntegratorConfig(0.0, 1.0, v, _SPEC), 0),
+    "seed": (lambda v: run_cell_checks(Signature(1, 1), 1.0, steps=400, seed=v), -1),
+    "lift order": (lambda v: curve_lift(_SPEC, _PSI, v), 7),
+    "derivative order": (lambda v: curve_derivative(_SPEC, _PSI, v), -1),
+    "time_axis": (lambda v: boost(Signature(3, 1), v, 3, 0.5), 3),
+    "space_axis": (lambda v: boost(Signature(2, 1), 0, v, 0.5), 3),
+}
+
+
+@pytest.mark.parametrize("name", _INTEGER_INPUTS)
+def test_every_integer_input_follows_one_rule(name):
+    # one rule, geometry.as_integer, at every entry point: any integral type is
+    # taken as the plain int it equals, and a bool, a float, a Fraction or a
+    # string is refused in the same words as a value outside the range
+    call, outside = _INTEGER_INPUTS[name]
+    want = call(2)
+    for value in (np.int8(2), np.uint64(2), _Count.TWO):
+        got = call(value)
+        if isinstance(want, np.ndarray):
+            assert got.tobytes() == want.tobytes(), value
+        else:  # the repr shows a count stored as a numpy integer or an enum member
+            assert repr(got) == repr(want), value
+    for value in (True, np.bool_(True), 2.0, np.float64(2), Fraction(2, 1), "2", outside):
+        with pytest.raises(ValueError,
+                           match=rf"^{re.escape(name)} must be .+, got {re.escape(repr(value))}$"):
+            call(value)
 
 
 def test_signature_signs():

@@ -32,10 +32,30 @@ def test_readme_quick_start_runs():
     exec(compile(block.group(1), str(README), "exec"), {})
 
 
-def test_integer_rule_lives_in_geometry_only():
-    # every other module checks its counts with geometry.as_integer, so the
-    # rule and its messages are written once; the dump quotes every identifier
-    # (an import, a name, an attribute or a definition) as 'is_integer'
+def _integer_tests(tree):
+    # the nodes that decide whether a value is an integer: numbers.Integral
+    # (or a bare Integral) and a type(...) is int comparison
+    for node in ast.walk(tree):
+        if "Integral" in (getattr(node, "id", None), getattr(node, "attr", None),
+                          getattr(node, "name", None)):
+            yield node
+        elif (isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
+              and getattr(node.left.func, "id", None) == "type"
+              and any(getattr(c, "id", None) == "int" for c in node.comparators)):
+            yield node
+
+
+def test_integer_rule_lives_in_as_integer_only():
+    # geometry.as_integer is the one place that decides whether a value is an
+    # integer, so a hand-written check elsewhere, or a second helper beside
+    # it, fails here
     for path in sorted(SRC.glob("*.py")):
-        if path.name != "geometry.py":
-            assert "'is_integer'" not in ast.dump(ast.parse(path.read_text())), path.name
+        tree = ast.parse(path.read_text())
+        # the dump quotes every identifier: an import, a name, an attribute or a definition
+        assert "'is_integer'" not in ast.dump(tree), path.name
+        if path.name == "geometry.py":
+            rule = next(node for node in tree.body
+                        if isinstance(node, ast.FunctionDef) and node.name == "as_integer")
+            assert {type(node) for node in _integer_tests(rule)} == {ast.Attribute, ast.Compare}
+            tree.body.remove(rule)
+        assert list(_integer_tests(tree)) == [], path.name

@@ -393,6 +393,27 @@ def test_radius_cap_names_the_cap_that_binds():
         run_cell_checks(Signature(1, 1), 1.3e154)
 
 
+@pytest.mark.parametrize("low", [np.float32, np.float16])
+def test_reduced_precision_inputs_run_in_binary64(low):
+    # numpy 2 keeps a float32 or float16 through arithmetic with Python floats,
+    # so such an endpoint once made the step, and with it the whole RK4 loop,
+    # that precision: 6.4e-5 (float32) and 0.35 (float16) off the closed form
+    spec = CurveSpec(Signature(1, 1), 1.0)
+    want = integrate(IntegratorConfig(-2.0, 2.0, 2000, spec))
+    cfg = IntegratorConfig(low(-2), low(2), 2000, spec)
+    assert type(cfg.psi_start) is float and type(cfg.psi_end) is float
+    assert integrate(cfg).tobytes() == want.tobytes()
+    sig = Signature(2, 2)
+    assert (run_cell_checks(sig, 1.0, psi_start=low(-2), psi_end=low(2))
+            == run_cell_checks(sig, 1.0))
+    assert run_sweep(max_sig=2, psi_start=low(-2)) == run_sweep(max_sig=2)
+    # the radius cap too is computed from binary64 endpoints; float16 ones once
+    # moved the cap of (4,4) over [-2, 2] from 8.38657e147 to 7.53826e147
+    for psi in ((-2.0, 2.0), (low(-2), low(2))):
+        with pytest.raises(ValueError, match=r"caps the radius at 8\.38657e\+147, got 1e\+150"):
+            run_cell_checks(Signature(4, 4), 1e150, *psi)
+
+
 def _per_trial_groups(sig, radius, fault_r_eff):
     """The isometry and boost groups one trial and one rapidity at a time,
     each check's worst with the rounding the matrix products allow it."""
