@@ -248,7 +248,7 @@ def _build_parser() -> _Parser:
     ver.add_argument("--psi-start", type=float)
     ver.add_argument("--psi-end", type=float)
     ver.add_argument("--steps", type=int, help="integrator intervals")
-    ver.add_argument("--seed", type=int)
+    ver.add_argument("--seed", type=int, help="seed of the isometry checks' vectors and points")
     ver.add_argument("--inject-fault", choices=["r-eff"],
                      help="evaluate the curve with a wrong amplitude; the sweep "
                           "must fail for every cell with r >= 2 (self-test)")

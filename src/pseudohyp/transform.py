@@ -4,7 +4,8 @@ planes, Euclidean rotations in same-sign planes, and their isometry defect.
 A map is an n x n array M; it is an isometry of the product when
 M^T eta M = eta, with eta = np.diag(sig.signs) the diagonal sign matrix.
 Boosts and block rotations, each the identity with one 2x2 plane block,
-generate the maps used here; compose them with @, starting from np.eye(n).
+generate the maps; compose them with @. `verify` checks one in every plane
+and their product.
 `apply` and `isometry_defect` also take a stack of maps (..., n, n).
 """
 
@@ -22,11 +23,7 @@ __all__ = [
     "block_rotation",
     "apply",
     "isometry_defect",
-    "random_isometry",
 ]
-
-_MAX_GENERATORS = 5
-_MAX_RAPIDITY = 0.6
 
 
 @cache
@@ -104,23 +101,3 @@ def isometry_defect(m: np.ndarray, sig: Signature) -> float:
         )
     eta = np.diag(sig.signs)
     return float(np.max(np.abs(np.swapaxes(m, -1, -2) @ eta @ m - eta), initial=0.0))
-
-
-def random_isometry(sig: Signature, rng) -> np.ndarray:
-    """Product of 1 to 5 random boosts and rotations drawn from `rng`.
-
-    Rotations get a uniform angle, boosts a rapidity in [-0.6, 0.6].
-    """
-    m = _eye(sig.n)
-    blocks = [axes for axes in (np.arange(sig.s), np.arange(sig.s, sig.n)) if len(axes) >= 2]
-    for _ in range(int(rng.integers(1, _MAX_GENERATORS + 1))):
-        if blocks and rng.random() < 0.5:
-            axes = blocks[int(rng.integers(0, len(blocks)))]
-            a1, a2 = rng.choice(axes, size=2, replace=False)
-            g = block_rotation(sig, int(a1), int(a2), float(rng.uniform(-math.pi, math.pi)))
-        else:
-            ti = int(rng.integers(0, sig.s))
-            xj = int(rng.integers(sig.s, sig.n))
-            g = boost(sig, ti, xj, float(rng.uniform(-_MAX_RAPIDITY, _MAX_RAPIDITY)))
-        m = g @ m
-    return m

@@ -3,10 +3,12 @@
 For every grid cell (s, r, R) four check groups run, in order: closed form,
 flow, bundle, and isometry with the (1,1) boost shift. Each evaluates each of
 its psi arrays once, all orders in one `geometry._block_tower` table, and
-reports every check's worst residual against its bound, with draws seeded per
-cell. The closed-form invariants, main flow run and bundle tower use block
-values, with `_block_inner` bit for bit `inner_product` of their n-wide rows;
-the lifts, isometry images, `velocity_fd` and fit use `geometry._expand`'s rows.
+reports every check's worst residual against its bound. The isometry maps are
+fixed, one boost or rotation per plane and their product, each applied to a
+vector pair and a curve point that a generator seeded per cell draws. The
+closed-form invariants, main flow run and bundle tower use block values, with
+`_block_inner` bit for bit `inner_product` of their n-wide rows; the lifts,
+isometry images, `velocity_fd` and fit use `geometry._expand`'s rows.
 
 `fault_r_eff=True` deliberately evaluates the curve with amplitude R instead
 of R/sqrt(r) while still checking against the quadric of R. Cells with r >= 2
@@ -19,6 +21,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -27,7 +30,7 @@ from .geometry import (CurveSpec, Signature, _block_inner, _block_tower, _expand
                        curve_derivative, inner_product)
 from .ode import (IntegratorConfig, _closed_form_blocks, _integrate_blocks, check_resolved,
                   check_span, convergence_order, max_deviation)
-from .transform import apply, boost, isometry_defect, random_isometry
+from .transform import apply, block_rotation, boost, isometry_defect
 
 __all__ = ["DEFAULT_SEED", "Check", "CellReport", "run_cell_checks", "run_sweep"]
 
@@ -37,7 +40,7 @@ _CLOSED_FORM_SAMPLES = 100
 _FD_PSI = np.linspace(-0.9, 0.9, 19)
 _LIFT_PSI = np.array([-0.8, 0.3, 0.9])
 _CONVERGENCE_STEPS = (60, 120, 240)
-_TRANSFORM_TRIALS = 24
+_ROTATION_ANGLE = 1.0  # no multiple of pi/2, so no rotation merely swaps or negates axes
 _PEAK_MAX = 1e152
 
 
@@ -99,7 +102,7 @@ def _cell_plan(sig, radius, psi_start, psi_end, steps, seed, fault_r_eff) -> lis
     psi_start, psi_end = cfgs[0].psi_start, cfgs[0].psi_end  # so the caps are binary64 too
     # inner products sum squared coordinates: on the grid their partial sums
     # reach 2*s*r*(R*cosh(w*psi))^2, and the isometry images at |psi| <= 1 up
-    # to e^6 times that (five boosts of rapidity <= 0.6); with
+    # to e^6 times that (`_isometry_maps`' rapidities add up to <= 3); with
     # sqrt(s*r)*R*e^(w*psi) <= _PEAK_MAX both stay below 2*e^6*1e304 < 1.8e308
     w = spec.frequency
     psi_reach = max(abs(psi_start), abs(psi_end), 1.0)
@@ -186,13 +189,23 @@ def _bundle_checks(spec: CurveSpec) -> list:
     ]
 
 
+def _isometry_maps(sig: Signature) -> np.ndarray:
+    """A boost in every mixed plane, a rotation in every like-sign plane and their
+    product, as a stack (k, n, n); the s*r rapidities add up to at most 3."""
+    s, n = sig.s, sig.n
+    rapidity = min(0.6, 3.0 / (s * sig.r))
+    gens = [boost(sig, i, j, rapidity) for i in range(s) for j in range(s, n)]
+    gens += [block_rotation(sig, a, b, _ROTATION_ANGLE) for lo, hi in ((0, s), (s, n))
+             for a in range(lo, hi) for b in range(a + 1, hi)]
+    return np.array([*gens, reduce(np.matmul, gens)])
+
+
 def _isometry_checks(cfg: IntegratorConfig, r2: float, rng: np.random.Generator) -> list:
-    """Random isometries and their images of the curve; on (1,1), a boost as a shift."""
+    """The fixed maps and their images of the curve; on (1,1), a boost as a shift."""
     spec, sig = cfg.spec, cfg.spec.sig
-    # each trial draws its map, then a pair of vectors, then a curve parameter
-    draws = [(random_isometry(sig, rng), rng.uniform(-1.0, 1.0, (2, sig.n)),
-              rng.uniform(-1.0, 1.0)) for _ in range(_TRANSFORM_TRIALS)]
-    maps, pairs, psis = map(np.array, zip(*draws))
+    maps = _isometry_maps(sig)
+    pairs = rng.uniform(-1.0, 1.0, (len(maps), 2, sig.n))
+    psis = rng.uniform(-1.0, 1.0, len(maps))
     ip = inner_product(pairs[:, 0], pairs[:, 1], sig)
     images = apply(maps, pairs)
     form_err = (inner_product(images[:, 0], images[:, 1], sig) - ip) / (1.0 + np.abs(ip))
@@ -226,6 +239,7 @@ def run_cell_checks(
     fault_r_eff: bool = False,
 ) -> CellReport:
     """Run the full battery for one cell and report worst residuals."""
+    radius = float(radius)  # a float32 or float16 would round R^2, the rng key and the cap
     plan = _cell_plan(sig, radius, psi_start, psi_end, steps, seed, fault_r_eff)
     cfg, r2 = plan[0], radius * radius
     rng = np.random.default_rng([seed, sig.s, sig.r, int(round(radius * 1e6))])

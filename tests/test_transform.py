@@ -2,6 +2,7 @@
 
 import math
 import re
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from pseudohyp import (
     curve_derivative,
     inner_product,
     isometry_defect,
-    random_isometry,
 )
+from pseudohyp.verify import _isometry_maps
 
 SIGS = [Signature(s, r) for s in range(1, 5) for r in range(1, 5)]
 
@@ -129,42 +130,13 @@ def test_generators_match_the_identity_fill_bytewise():
                             assert block_rotation(sig, i, j, x).tobytes() == want.tobytes()
 
 
-def _reference_isometry(sig, rng):
-    # random_isometry's draws, in its order, composed from a fresh identity
-    m = np.eye(sig.n)
-    blocks = [(lo, hi) for lo, hi in ((0, sig.s), (sig.s, sig.n)) if hi - lo >= 2]
-    for _ in range(int(rng.integers(1, 6))):
-        if blocks and rng.random() < 0.5:
-            lo, hi = blocks[int(rng.integers(0, len(blocks)))]
-            a1, a2 = rng.choice(np.arange(lo, hi), size=2, replace=False)
-            g = block_rotation(sig, int(a1), int(a2), float(rng.uniform(-math.pi, math.pi)))
-        else:
-            ti, xj = int(rng.integers(0, sig.s)), int(rng.integers(sig.s, sig.n))
-            g = boost(sig, ti, xj, float(rng.uniform(-0.6, 0.6)))
-        m = g @ m
-    return m
-
-
-def test_random_isometry_matches_the_reference_composition_bitwise():
-    for seed in (3, 17, 2026):
-        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        for s in range(1, 9):
-            for r in range(1, 9):
-                sig = Signature(s, r)
-                for _ in range(3):
-                    assert (random_isometry(sig, got_rng).tobytes()
-                            == _reference_isometry(sig, want_rng).tobytes())
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
-
-
 def test_returned_maps_share_no_memory():
     # the generators start from a cached identity; writing into any map they
     # return must not reach the next one
     sig = Signature(2, 3)
 
     def make():
-        return [boost(sig, 0, 3, 0.0), block_rotation(sig, 2, 4, 0.0),
-                random_isometry(sig, np.random.default_rng(5))]
+        return [boost(sig, 0, 3, 0.0), block_rotation(sig, 2, 4, 0.0), _isometry_maps(sig)]
 
     want = [m.tobytes() for m in make()]
     for k in range(3):
@@ -227,8 +199,7 @@ def test_apply_boost_reaches_curve_point():
 def test_apply_preserves_inner_product():
     rng = np.random.default_rng(29)
     for sig in SIGS:
-        for _ in range(5):
-            m = random_isometry(sig, rng)
+        for m in _isometry_maps(sig):
             u = rng.uniform(-1, 1, sig.n)
             v = rng.uniform(-1, 1, sig.n)
             ip = inner_product(u, v, sig)
@@ -240,8 +211,7 @@ def test_apply_keeps_pair_orthogonal():
     rng = np.random.default_rng(31)
     for sig in SIGS:
         spec = CurveSpec(sig, 1.0)
-        for _ in range(3):
-            m = random_isometry(sig, rng)
+        for m in _isometry_maps(sig):
             psi = float(rng.uniform(-1, 1))
             q = apply(m, curve_derivative(spec, psi, 0))
             qv = apply(m, curve_derivative(spec, psi, 1))
@@ -263,7 +233,7 @@ def test_apply_types_and_mismatch():
     # stacked matmul against gemv per map may differ in the last bits only
     sig = Signature(2, 3)
     rng = np.random.default_rng(5)
-    maps = np.array([random_isometry(sig, rng) for _ in range(9)])
+    maps = _isometry_maps(sig)
     pairs = rng.uniform(-1.0, 1.0, (2, 2, sig.n))
     np.testing.assert_allclose(apply(maps[:2], pairs), [apply(maps[0], pairs[0]),
                                                         apply(maps[1], pairs[1])], rtol=1e-14)
@@ -283,25 +253,23 @@ def test_is_isometry_identity_and_scaling():
 
 
 def test_is_isometry_generator_products():
-    rng = np.random.default_rng(37)
+    # the generators composed in the order opposite to the set's own product
     for sig in SIGS:
-        for _ in range(3):
-            assert isometry_defect(random_isometry(sig, rng), sig) <= 1e-10
+        assert isometry_defect(reduce(np.matmul, _isometry_maps(sig)[-2::-1]), sig) <= 1e-10
 
 
 def test_stacked_defect_is_the_largest_per_map_defect():
-    rng = np.random.default_rng(41)
     for s in range(1, 9):
         for r in range(1, 9):
             sig = Signature(s, r)
-            maps = np.array([random_isometry(sig, rng) for _ in range(6)])
-            maps[2] *= 1.0 + 1e-13  # one map with a defect well above rounding
+            maps = _isometry_maps(sig)
+            maps[len(maps) // 2] *= 1.0 + 1e-13  # one map with a defect well above rounding
             each = [isometry_defect(m, sig) for m in maps]
             # each map's defect is the same in a stack of one, not only the largest
-            assert [isometry_defect(maps[k : k + 1], sig) for k in range(6)] == each
+            assert [isometry_defect(maps[k : k + 1], sig) for k in range(len(maps))] == each
             want = max(each)
             assert isometry_defect(maps, sig) == want
-            assert isometry_defect(maps.reshape(2, 3, sig.n, sig.n), sig) == want
+            assert isometry_defect(np.stack((maps, maps[::-1])), sig) == want
             # and the largest defect of no maps is 0.0
             assert isometry_defect(maps[:0], sig) == 0.0
 

@@ -11,7 +11,7 @@ import pytest
 
 from pseudohyp import (CurveSpec, IntegratorConfig, Signature, apply, boost,
                        closed_form_trajectory, curve_derivative, curve_lift, inner_product,
-                       integrate, isometry_defect, random_isometry)
+                       integrate, isometry_defect)
 from pseudohyp import bundle, cli, geometry, ode, transform, verify
 from pseudohyp.verify import run_cell_checks, run_sweep
 
@@ -171,8 +171,8 @@ def _failed_checks(s, r):
 def test_layout_fault_moves_every_flow_and_fails_the_isometry_images(monkeypatch):
     # one function lays out the n coordinates; with its counts swapped to
     # (r, s), every n-wide array and the writers' rows move, and at s != r
-    # the isometry images, whose random maps mix the blocks, are the checks
-    # that catch it
+    # the isometry images, whose maps mix the blocks, are the checks that
+    # catch it
     real = geometry._expand
 
     def swapped(blocks, sig):
@@ -255,6 +255,8 @@ _PLANTED = {
                              "convergence_order"},
     "isometry": {"isometry_defect", "isometry_form", "isometry_quadric",
                  "isometry_pair_orthogonality", "boost_translation"},
+    "one plane": {"isometry_defect", "isometry_form", "isometry_quadric",
+                  "isometry_pair_orthogonality", "boost_translation"},
     "bundle dimension": {"lift_dims"},
     "tower scale": {"lift_second_derivative", "lift_fd"},
 }
@@ -330,7 +332,7 @@ def test_flow_faults_fail_exactly_the_flow_checks(monkeypatch, fault, tableau, r
 
 def test_isometry_fault_fails_exactly_the_isometry_checks(monkeypatch):
     # a boost whose [space_axis, time_axis] entry is negated is a rotation-like
-    # map, no isometry; every random map the sweep draws holds boosts
+    # map, no isometry; the sweep's maps hold a boost in every mixed plane
     real = transform.boost
 
     def skewed(sig, time_axis, space_axis, rapidity):
@@ -345,6 +347,39 @@ def test_isometry_fault_fails_exactly_the_isometry_checks(monkeypatch):
     for s, r in ((1, 2), (2, 3), (3, 1), (2, 2)):
         assert _failed_checks(s, r) == isometry, (s, r)
     assert {*isometry, "boost_translation"} == _PLANTED["isometry"]
+
+
+def test_one_plane_fault_fails_the_isometry_checks_at_every_cell(monkeypatch):
+    # the skewed boost only in the plane (s-1, n-1), which a sample of random
+    # products can miss; the fixed set holds a map in every plane, so each cell
+    # fails the whole family
+    real = transform.boost
+
+    def skewed(sig, time_axis, space_axis, rapidity):
+        m = real(sig, time_axis, space_axis, rapidity)
+        if (time_axis, space_axis) == (sig.s - 1, sig.n - 1):
+            m[space_axis, time_axis] *= -1.0
+        return m
+
+    assert _patch_every_binding(monkeypatch, real, skewed) >= 3  # transform, verify, package
+    isometry = ["isometry_defect", "isometry_form", "isometry_quadric",
+                "isometry_pair_orthogonality"]
+    family = {*isometry, "boost_translation"}
+    # (3,6) and (5,5) fail closed-form checks on correct code, so only the family is read
+    for s, r in ((1, 1), (1, 2), (2, 3), (3, 6), (5, 5)):
+        got = [name for name in _failed_checks(s, r) if name in family]
+        assert got == isometry + ["boost_translation"] * (s == r == 1), (s, r)
+    assert family == _PLANTED["one plane"]
+
+
+def test_every_fixed_map_is_an_isometry_that_stretches_by_at_most_e3():
+    # the radius cap lets the isometry images' squared sums grow by e^6
+    for s in range(1, 9):
+        for r in range(1, 9):
+            sig = Signature(s, r)
+            for m in verify._isometry_maps(sig):
+                assert np.linalg.norm(m, 2) <= math.exp(3.0), (s, r)
+                assert isometry_defect(m, sig) <= 1e-10, (s, r)
 
 
 def test_bundle_dim_fault_fails_only_the_lift_dims(monkeypatch):
@@ -412,14 +447,22 @@ def test_reduced_precision_inputs_run_in_binary64(low):
     for psi in ((-2.0, 2.0), (low(-2), low(2))):
         with pytest.raises(ValueError, match=r"caps the radius at 8\.38657e\+147, got 1e\+150"):
             run_cell_checks(Signature(4, 4), 1e150, *psi)
+    # and so is the radius: a float32 0.3 once made R^2 a float32, failing the
+    # quadric checks, and a float16 one overflowed the rng key's R*1e6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cell_checks(sig, low(0.3)) == run_cell_checks(sig, float(low(0.3)))
 
 
 def _per_trial_groups(sig, radius, fault_r_eff):
-    """The isometry and boost groups one trial and one rapidity at a time,
+    """The isometry and boost groups one map and one rapidity at a time,
     each check's worst with the rounding the matrix products allow it."""
     n, r2 = sig.n, radius * radius
     spec = CurveSpec(sig, radius * math.sqrt(sig.r) if fault_r_eff else radius)
     rng = np.random.default_rng([verify.DEFAULT_SEED, sig.s, sig.r, int(round(radius * 1e6))])
+    maps = verify._isometry_maps(sig)
+    pairs = rng.uniform(-1.0, 1.0, (len(maps), 2, n))
+    psis = rng.uniform(-1.0, 1.0, len(maps))
     u = 2.0**-53
     gamma = n * u / (1 - n * u)
 
@@ -436,16 +479,12 @@ def _per_trial_groups(sig, radius, fault_r_eff):
 
     names = ["isometry_defect", "isometry_form", "isometry_quadric", "isometry_pair_orthogonality"]
     worst, allow = dict.fromkeys(names, 0.0), dict.fromkeys(names, 0.0)
-    for _ in range(verify._TRANSFORM_TRIALS):
-        m = random_isometry(sig, rng)
+    for m, (a, b), psi in zip(maps, pairs, psis.tolist()):
         worst["isometry_defect"] = max(worst["isometry_defect"], isometry_defect(m, sig))
-        a = rng.uniform(-1.0, 1.0, n)
-        b = rng.uniform(-1.0, 1.0, n)
         ip = inner_product(a, b, sig)
         err = abs(inner_product(apply(m, a), apply(m, b), sig) - ip)
         worst["isometry_form"] = max(worst["isometry_form"], err / (1.0 + abs(ip)))
         allow["isometry_form"] = max(allow["isometry_form"], slack(m, a, b, ip) / (1.0 + abs(ip)))
-        psi = float(rng.uniform(-1.0, 1.0))
         p, v = curve_derivative(spec, psi, 0), curve_derivative(spec, psi, 1)
         q, qv = apply(m, p), apply(m, v)
         worst["isometry_quadric"] = max(worst["isometry_quadric"],
