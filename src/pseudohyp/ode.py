@@ -177,25 +177,19 @@ def check_span(cfg: IntegratorConfig) -> None:
         raise ValueError(f"a slope fit needs a step size above zero, got {got}")
 
 
-def convergence_order(cfgs) -> float:
-    """Fitted order of accuracy of `integrate` at several step counts.
+def convergence_order(cfg: IntegratorConfig) -> float:
+    """Observed order of accuracy of `integrate` between `cfg` and a run of 4 * cfg.steps.
 
-    `cfgs` holds configs that differ in their step count only, at three or
-    more step sizes. Integrates each in turn, measures its deviation from the
-    closed form on its own grid and returns the slope of log(deviation)
-    against log(step size). The classic four-stage scheme gives about 4.
+    Measures each run's deviation d from the closed form on its own grid and
+    returns (log d0 - log d1) / (log h0 - log h1) over their step sizes h; the
+    classic four-stage scheme gives about 4. Raises ValueError, before either
+    run, where the fine run's step is 0 or its count passes 2^53.
     """
-    cfgs = list(cfgs)
-    for cfg in cfgs:
-        check_span(cfg)
-        if replace(cfg, steps=cfgs[0].steps) != cfgs[0]:
-            raise ValueError("a slope fit needs runs that differ in their step count only, "
-                             f"got {cfgs[0]} and {cfg}")
-    hs = [abs(cfg.step) for cfg in cfgs]
-    if len(set(hs)) < 3:
-        raise ValueError(f"a slope fit needs at least 3 distinct step sizes, got "
-                         f"{len(set(hs))} from step counts {[cfg.steps for cfg in cfgs]}")
-    devs = [max(max_deviation(integrate(cfg), closed_form_trajectory(cfg)), 1e-300)
-            for cfg in cfgs]
-    slope, _ = np.polyfit(np.log(hs), np.log(devs), 1)
-    return float(slope)
+    if 4 * cfg.steps > 2**53:
+        raise ValueError(f"steps must be at most 2^51 = {2**51}, so that the fit's fourfold run "
+                         f"of 4 * steps stays within 2^53, got {cfg.steps}")
+    fine = replace(cfg, steps=4 * cfg.steps)
+    check_span(fine)  # the fine run has the smaller step
+    d0, d1 = (math.log(max(max_deviation(integrate(run), closed_form_trajectory(run)), 1e-300))
+              for run in (cfg, fine))
+    return (d0 - d1) / (math.log(abs(cfg.step)) - math.log(abs(fine.step)))

@@ -12,7 +12,6 @@ and their product.
 from __future__ import annotations
 
 import math
-from functools import cache
 
 import numpy as np
 
@@ -26,16 +25,9 @@ __all__ = [
 ]
 
 
-@cache
-def _eye(n: int) -> np.ndarray:
-    eye = np.eye(n)
-    eye.flags.writeable = False  # maps are copies of it, so none can write into the cache
-    return eye
-
-
 def _plane(n: int, a: int, b: int, c: float, s_ab: float, s_ba: float) -> np.ndarray:
     # the identity with the block [[c, s_ab], [s_ba, c]] in the plane of axes a and b
-    m = _eye(n).copy()
+    m = np.eye(n)
     m[a, a] = m[b, b] = c
     m[a, b] = s_ab
     m[b, a] = s_ba

@@ -1,9 +1,11 @@
 """Per-signature verification battery behind the `verify` command.
 
 For every grid cell (s, r, R) four check groups run, in order: closed form,
-flow, bundle, and isometry with the (1,1) boost shift. Each evaluates each of
-its psi arrays once, all orders in one `geometry._block_tower` table, and
-reports every check's worst residual against its bound. The isometry maps are
+flow, bundle, and isometry with the (1,1) boost shift. Each reports every
+check's worst residual against its bound. The bundle group builds its five
+lifts through `curve_lift`, whose bookkeeping it checks, and one
+`geometry._block_tower` table of orders 0..3 over the same psi; the others
+take all orders of a psi array from one such table. The isometry maps are
 fixed, one boost or rotation per plane and their product, each applied to a
 vector pair and a curve point that a generator seeded per cell draws. The
 closed-form invariants, main flow run and bundle tower use block values, with
@@ -39,7 +41,7 @@ DEFAULT_SEED = 20260810
 _CLOSED_FORM_SAMPLES = 100
 _FD_PSI = np.linspace(-0.9, 0.9, 19)
 _LIFT_PSI = np.array([-0.8, 0.3, 0.9])
-_CONVERGENCE_STEPS = (60, 120, 240)
+_CONVERGENCE_STEPS = 60  # the fit also runs 4 * 60 steps
 _ROTATION_ANGLE = 1.0  # no multiple of pi/2, so no rotation merely swaps or negates axes
 _PEAK_MAX = 1e152
 
@@ -90,7 +92,7 @@ def _max_abs(arr: np.ndarray) -> float:
 
 def _cell_plan(sig, radius, psi_start, psi_end, steps, seed, fault_r_eff) -> list:
     """Validate one cell's parameters; return its IntegratorConfigs at `steps`
-    and at each of `_CONVERGENCE_STEPS`, with the spec its curve is evaluated with.
+    and at `_CONVERGENCE_STEPS`, with the spec its curve is evaluated with.
 
     Raises ValueError, naming the limit, at the first check the cell fails: its
     inputs, then the one radius cap, RK4 resolution and a step that underflows.
@@ -98,7 +100,7 @@ def _cell_plan(sig, radius, psi_start, psi_end, steps, seed, fault_r_eff) -> lis
     # numpy seeds a generator from non-negative integers only
     as_integer(seed, "seed", 0)
     spec = CurveSpec(sig, radius)
-    cfgs = [IntegratorConfig(psi_start, psi_end, k, spec) for k in (steps, *_CONVERGENCE_STEPS)]
+    cfgs = [IntegratorConfig(psi_start, psi_end, k, spec) for k in (steps, _CONVERGENCE_STEPS)]
     psi_start, psi_end = cfgs[0].psi_start, cfgs[0].psi_end  # so the caps are binary64 too
     # inner products sum squared coordinates: on the grid their partial sums
     # reach 2*s*r*(R*cosh(w*psi))^2, and the isometry images at |psi| <= 1 up
@@ -110,7 +112,7 @@ def _cell_plan(sig, radius, psi_start, psi_end, steps, seed, fault_r_eff) -> lis
     # RK4 rounding seeds the flow's growing mode at up to steps*u*|y0|, and the
     # mode multiplies it by e^(w*span); bounding sqrt(s*r)*R*steps*u*e^(w*(|psi_start|
     # + span)) by _PEAK_MAX keeps the products along the integrated flow finite too
-    steps_max = max(steps, *_CONVERGENCE_STEPS)
+    steps_max = max(steps, 4 * _CONVERGENCE_STEPS)
     flow_max = math.exp(math.log(_PEAK_MAX / (w * steps_max * 2.0**-53))
                         - w * (abs(psi_start) + abs(psi_end - psi_start)))
     cap = min(curve_max, flow_max)  # the smaller binds, and the curve's at a tie
@@ -123,11 +125,11 @@ def _cell_plan(sig, radius, psi_start, psi_end, steps, seed, fault_r_eff) -> lis
                  f"so that the inner products stay finite; for (s, r) = ({sig.s}, {sig.r}) and "
                  f"|psi| up to {psi_reach:g}")
         raise ValueError(f"{limit} that caps the radius at {cap:.6g}, got {radius:g}")
-    # the flow cap assumes every count is resolved; finer fit runs are when the coarsest is
+    # the flow cap assumes every count is resolved; the fit's fine run is when its coarse one is
     check_resolved(cfgs[0])
     check_resolved(cfgs[1], f"the convergence fit's {cfgs[1].steps}-step run does not change "
                             "with --steps, so the psi range must narrow")
-    check_span(cfgs[-1])  # the finest fit run has the smallest step
+    check_span(replace(cfgs[1], steps=4 * _CONVERGENCE_STEPS))  # the fit's fine run
     if fault_r_eff:
         cfgs = [replace(cfg, spec=CurveSpec(sig, radius * math.sqrt(sig.r))) for cfg in cfgs]
     return cfgs
@@ -151,8 +153,8 @@ def _closed_form_checks(spec: CurveSpec, r2: float, grid: np.ndarray) -> list:
 
 
 def _flow_checks(plan: list, r2: float) -> list:
-    """The integrated flow against the closed form, conservation along it, its fitted order."""
-    cfg, *fit_cfgs = plan
+    """The integrated flow against the closed form, conservation along it, its observed order."""
+    cfg, fit_cfg = plan
     spec, sig = cfg.spec, cfg.spec.sig
     num = _integrate_blocks(cfg)
     psi_max = max(abs(cfg.psi_start), abs(cfg.psi_end))
@@ -162,7 +164,7 @@ def _flow_checks(plan: list, r2: float) -> list:
         Check("flow_deviation", max_deviation(num, _closed_form_blocks(cfg)), dev_bound),
         Check("flow_quadric", _max_abs(_block_inner(num_p, num_p, sig) - r2), 1e-7 * r2),
         Check("flow_orthogonality", _max_abs(_block_inner(num_p, num_v, sig)), 1e-7 * r2),
-        Check("convergence_order", abs(convergence_order(fit_cfgs) - 4.0), 0.3),
+        Check("convergence_order", abs(convergence_order(fit_cfg) - 4.0), 0.3),
     ]
 
 

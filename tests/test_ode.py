@@ -1,6 +1,7 @@
 """Tests for the coupled flow, the fixed-step integrator, and its residuals."""
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -298,40 +299,65 @@ def test_flow_uniformity_bitwise():
                 assert (blocks_of(cfg).view(np.int64) == blocks.view(np.int64)).all(), case
 
 
-def runs(spec, psi_start, psi_end, step_counts):
-    # the configs a slope fit takes, one per step count
-    return [IntegratorConfig(psi_start, psi_end, k, spec) for k in step_counts]
-
-
 def test_convergence_order_estimate():
-    slope = convergence_order(runs(CurveSpec(Signature(2, 2), 1.0), 0.0, 1.5, (60, 120, 240)))
+    slope = convergence_order(IntegratorConfig(0.0, 1.5, 60, CurveSpec(Signature(2, 2), 1.0)))
     assert 3.7 <= slope <= 4.3
 
 
-def test_convergence_order_needs_three_counts():
-    with pytest.raises(ValueError, match=r"3 distinct step sizes, got 2 from step counts \[100"):
-        convergence_order(runs(spec11(), 0.0, 1.0, (100, 200)))
-    # one count thrice is one step size, whose line numpy fits only with a warning
-    with pytest.raises(ValueError, match=r"got 1 from step counts \[60, 60, 60\]"):
-        convergence_order(runs(spec11(), 0.0, 1.0, (60, 60, 60)))
-    # distinct counts of a subnormal span can round to one step size
-    with pytest.raises(ValueError, match=r"got 1 from step counts \[11, 12, 13\]"):
-        convergence_order(runs(spec11(), 5e-323, 0.0, (11, 12, 13)))
+def test_two_run_order_is_the_three_run_fit():
+    # log h of k, 2k and 4k steps is equally spaced, so the least-squares line
+    # through the three runs has the slope of the outer two: the middle run
+    # carries no weight
+    for s in range(1, 5):
+        for r in range(1, 5):
+            for start, end in ((-2.0, 2.0), (0.0, 1.5)):
+                cfg = IntegratorConfig(start, end, 60, CurveSpec(Signature(s, r), 1.0))
+                runs = [replace(cfg, steps=m * cfg.steps) for m in (1, 2, 4)]
+                devs = [max_deviation(integrate(run), closed_form_trajectory(run)) for run in runs]
+                fit, _ = np.polyfit(np.log([abs(run.step) for run in runs]), np.log(devs), 1)
+                assert abs(convergence_order(cfg) - fit) <= 1e-13, (s, r, start)
+
+
+def test_convergence_order_rejects_what_its_runs_cannot_serve(monkeypatch):
     with pytest.raises(ValueError, match="psi_start == psi_end"):
-        convergence_order(runs(spec11(), 5.0, 5.0, (60, 120, 240)))
+        convergence_order(IntegratorConfig(5.0, 5.0, 60, spec11()))
     # a span of one subnormal has a step of 0 at every count, whose log is -inf
-    with pytest.raises(ValueError, match="0] over 60 steps, whose step underflows to 0"):
-        convergence_order(runs(spec11(), 5e-324, 0.0, (60, 120, 240)))
-    # runs over different intervals or of different curves make no one slope
-    mixed = runs(spec11(), 0.0, 1.0, (60, 120)) + runs(spec11(), 0.0, 2.0, (240,))
-    with pytest.raises(ValueError, match=r"step count only, got .*psi_end=1\.0, steps=60.* and "
-                                         r".*psi_end=2\.0, steps=240"):
-        convergence_order(mixed)
-    larger = CurveSpec(Signature(1, 1), 2.0)
-    mixed = runs(spec11(), 0.0, 1.0, (60,)) + runs(larger, 0.0, 1.0, (120, 240))
-    with pytest.raises(ValueError, match=r"step count only, got .*radius=1\.0\)\) and "
-                                         r".*steps=120.*radius=2\.0\)\)"):
-        convergence_order(mixed)
+    with pytest.raises(ValueError, match="0] over 240 steps, whose step underflows to 0"):
+        convergence_order(IntegratorConfig(5e-324, 0.0, 60, spec11()))
+    # ten subnormals in 6 steps is a step of 2 of them, in 24 steps 0
+    assert IntegratorConfig(5e-323, 0.0, 6, spec11()).step != 0
+    with pytest.raises(ValueError, match="0] over 24 steps, whose step underflows to 0"):
+        convergence_order(IntegratorConfig(5e-323, 0.0, 6, spec11()))
+    # a span past the float range has an infinite step: the curve overflows
+    # at its start before any log is taken
+    with pytest.raises(OverflowError):
+        convergence_order(IntegratorConfig(-1e308, 1e308, 60, spec11()))
+    # 2^53 steps are a config, but their fourfold run is not; nothing is integrated
+    monkeypatch.setattr(ode, "integrate", None)
+    for steps in (2**51 + 1, 2**53):
+        with pytest.raises(ValueError, match=rf"fit's fourfold run of 4 \* steps stays within "
+                                             rf"2\^53, got {steps}"):
+            convergence_order(IntegratorConfig(0.0, 1.0, steps, spec11()))
+
+
+def test_convergence_order_uses_the_rounded_steps(monkeypatch):
+    # ten subnormals in 2 steps is a step of 5 of them, in 8 steps 1, not 5/4:
+    # with deviations 3 and 9 the order is log(3/9) / log(5), not log(3/9) / log(4)
+    monkeypatch.setattr(ode, "max_deviation", lambda a, b: float(len(a)))
+    got = convergence_order(IntegratorConfig(5e-323, 0.0, 2, spec11()))
+    assert got == pytest.approx(math.log(3.0 / 9.0) / math.log(5.0), rel=1e-12)
+    assert got != pytest.approx(math.log(3.0 / 9.0) / math.log(4.0), rel=1e-3)
+
+
+def test_fine_step_is_below_the_coarse_one_unless_zero():
+    # h/4 rounds below h unless it rounds to 0, so the two runs never share a
+    # step size, and the slope's denominator is never 0
+    spec = spec11()
+    for span in [k * 5e-324 for k in range(1, 400)] + [1e-310, 2.2e-308, 1e-300, 1.0, 3e307]:
+        for steps in range(1, 40):
+            coarse = abs(IntegratorConfig(0.0, span, steps, spec).step)
+            fine = abs(IntegratorConfig(0.0, span, 4 * steps, spec).step)
+            assert fine == 0 or fine < coarse, (span, steps)
 
 
 def reference_rhs(y, sig, block_sum=np.sum):

@@ -59,3 +59,17 @@ def test_integer_rule_lives_in_as_integer_only():
             assert {type(node) for node in _integer_tests(rule)} == {ast.Attribute, ast.Compare}
             tree.body.remove(rule)
         assert list(_integer_tests(tree)) == [], path.name
+
+
+def test_no_least_squares_or_linalg_in_src():
+    # the convergence order is observed from two runs by math.log; a
+    # least-squares or LAPACK call moves its last bits with the BLAS kernel
+    # (the @ products of transform still do)
+    banned = {"polyfit", "lstsq", "linalg"}
+    for path in sorted(SRC.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.alias):
+                names.update(node.name.split("."))
+            names.add(getattr(node, "id", None) or getattr(node, "attr", None))
+        assert not names & banned, (path.name, names & banned)

@@ -2,6 +2,8 @@
 
 import io
 import math
+import os
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -45,6 +47,26 @@ def test_every_check_is_the_recorded_one(name, sweep):
     got = "".join(f"{rep.sig.s} {rep.sig.r} {rep.radius!r} {c.name} {c.worst!r} {c.bound!r}\n"
                   for rep in run_sweep(**sweep) for c in rep.checks)
     assert got == want
+
+
+def test_checks_do_not_depend_on_the_blas_kernel():
+    # OpenBLAS picks its kernel for the CPU it runs on; a child forced onto
+    # the Haswell kernel (AVX2 and FMA, no AVX-512) computes what such a
+    # machine would, and must report every check of the default sweep to the bit
+    cpuinfo = Path("/proc/cpuinfo")
+    flags = set(cpuinfo.read_text().split()) if cpuinfo.exists() else set()
+    if not {"avx2", "fma"} <= flags:
+        pytest.skip("the Haswell kernel needs a CPU with AVX2 and FMA")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = ("from pseudohyp.verify import run_sweep\n"
+            "for rep in run_sweep():\n"
+            "    print(rep.sig, rep.radius, *map(repr, rep.checks))\n")
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                           env={**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": "Haswell"},
+                           timeout=120)
+    want = [" ".join(map(str, (rep.sig, rep.radius, *map(repr, rep.checks)))) for rep in run_sweep()]
+    assert child.stdout.splitlines() == want
 
 
 def test_fault_injection_is_detected():
