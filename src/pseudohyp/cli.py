@@ -8,7 +8,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -109,11 +108,11 @@ def write_csv(spec: CurveSpec, table: np.ndarray, stream) -> None:
     """Write a `_sample_values` table of the curve `spec` as CSV, one row per sample.
 
     The bytes are those of `csv.writer` with each block value repeated over
-    the `_columns` of its block and formatted once by `_FLOAT_FMT`: no
-    formatted number needs quoting, and lines end in CRLF.
+    the `_columns` of its block and formatted once by `_FLOAT_FMT`: no column
+    name or formatted number needs quoting, and lines end in CRLF.
     """
     header = _columns(spec.sig)
-    csv.writer(stream).writerow(header)
+    stream.write(",".join(header) + "\r\n")
     _write_rows(spec.sig, table, _FLOAT_FMT, ",".join(["%s"] * len(header)) + "\r\n", "", stream)
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import random
 from dataclasses import dataclass, replace
 from functools import reduce
 
@@ -97,7 +98,7 @@ def _cell_plan(sig, radius, psi_start, psi_end, steps, seed, fault_r_eff) -> lis
     Raises ValueError, naming the limit, at the first check the cell fails: its
     inputs, then the one radius cap, RK4 resolution and a step that underflows.
     """
-    # numpy seeds a generator from non-negative integers only
+    # the seed keys `_draws`, and is checked here with the other inputs
     as_integer(seed, "seed", 0)
     spec = CurveSpec(sig, radius)
     cfgs = [IntegratorConfig(psi_start, psi_end, k, spec) for k in (steps, _CONVERGENCE_STEPS)]
@@ -202,12 +203,19 @@ def _isometry_maps(sig: Signature) -> np.ndarray:
     return np.array([*gens, reduce(np.matmul, gens)])
 
 
-def _isometry_checks(cfg: IntegratorConfig, r2: float, rng: np.random.Generator) -> list:
+def _draws(seed, sig: Signature, radius: float, k: int) -> tuple:
+    """k vector pairs (k, 2, n) and psis (k,): the top 53 bits m of each 64-bit word of one
+    str-keyed stdlib MT19937 draw, as m * 2^-52 - 1 in [-1, 1) exactly (README, `--seed`)."""
+    rng = random.Random(f"{as_integer(seed, 'seed', 0)},{sig.s},{sig.r},{round(radius * 1e6)}")
+    values = (np.frombuffer(rng.randbytes(8 * k * (2 * sig.n + 1)), "<u8") >> 11) * 2.0**-52 - 1
+    return values[:-k].reshape(k, 2, sig.n), values[-k:]
+
+
+def _isometry_checks(cfg: IntegratorConfig, radius: float, seed: int) -> list:
     """The fixed maps and their images of the curve; on (1,1), a boost as a shift."""
-    spec, sig = cfg.spec, cfg.spec.sig
+    spec, sig, r2 = cfg.spec, cfg.spec.sig, radius * radius
     maps = _isometry_maps(sig)
-    pairs = rng.uniform(-1.0, 1.0, (len(maps), 2, sig.n))
-    psis = rng.uniform(-1.0, 1.0, len(maps))
+    pairs, psis = _draws(seed, sig, radius, len(maps))
     ip = inner_product(pairs[:, 0], pairs[:, 1], sig)
     images = apply(maps, pairs)
     form_err = (inner_product(images[:, 0], images[:, 1], sig) - ip) / (1.0 + np.abs(ip))
@@ -241,13 +249,12 @@ def run_cell_checks(
     fault_r_eff: bool = False,
 ) -> CellReport:
     """Run the full battery for one cell and report worst residuals."""
-    radius = float(radius)  # a float32 or float16 would round R^2, the rng key and the cap
+    radius = float(radius)  # a float32 or float16 would round R^2, the draws' key and the cap
     plan = _cell_plan(sig, radius, psi_start, psi_end, steps, seed, fault_r_eff)
     cfg, r2 = plan[0], radius * radius
-    rng = np.random.default_rng([seed, sig.s, sig.r, int(round(radius * 1e6))])
     grid = np.linspace(cfg.psi_start, cfg.psi_end, _CLOSED_FORM_SAMPLES)
     checks = (_closed_form_checks(cfg.spec, r2, grid) + _flow_checks(plan, r2)
-              + _bundle_checks(cfg.spec) + _isometry_checks(cfg, r2, rng))
+              + _bundle_checks(cfg.spec) + _isometry_checks(cfg, radius, seed))
     return CellReport(sig, radius, tuple(checks))
 
 

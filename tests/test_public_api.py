@@ -73,3 +73,31 @@ def test_no_least_squares_or_linalg_in_src():
                 names.update(node.name.split("."))
             names.add(getattr(node, "id", None) or getattr(node, "attr", None))
         assert not names & banned, (path.name, names & banned)
+
+
+def _numpy_random_uses(tree):
+    # `default_rng` by any binding, the chains np.random and numpy.random, and
+    # an import of numpy.random or of random from numpy
+    for node in ast.walk(tree):
+        dotted = []
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            dotted = [f"{node.value.id}.{node.attr}"]
+        elif isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            dotted = [f"{node.module}.{alias.name}" for alias in node.names]
+        names = {getattr(node, k, None) for k in ("id", "attr", "name")}
+        if "default_rng" in names or any(d.split(".")[:2] in (["np", "random"], ["numpy", "random"])
+                                         for d in dotted):
+            yield node
+
+
+def test_no_numpy_random_in_src():
+    # verify draws from the stdlib's random.Random, so no code path imports
+    # numpy.random and its C extensions
+    for snippet in ("np.random.default_rng(1)", "import numpy.random",
+                    "from numpy import random", "from numpy.random import Generator",
+                    "rng = default_rng"):
+        assert list(_numpy_random_uses(ast.parse(snippet))), snippet
+    for path in sorted(SRC.glob("*.py")):
+        assert list(_numpy_random_uses(ast.parse(path.read_text()))) == [], path.name

@@ -3,6 +3,7 @@
 import io
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -49,6 +50,25 @@ def test_every_check_is_the_recorded_one(name, sweep):
     assert got == want
 
 
+_PRINT_SWEEP = ("from pseudohyp.verify import run_sweep\n"
+                "for rep in run_sweep({}):\n"
+                "    print(rep.sig, rep.radius, *map(repr, rep.checks))\n")
+
+
+def _sweep_lines(**sweep):
+    # what _PRINT_SWEEP prints, computed in this process
+    return [" ".join(map(str, (rep.sig, rep.radius, *map(repr, rep.checks))))
+            for rep in run_sweep(**sweep)]
+
+
+def _child_stdout(code, **env):
+    # `code` run by a fresh interpreter on this checkout's src, with `env` added
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": path, **env}, timeout=120).stdout
+
+
 def test_checks_do_not_depend_on_the_blas_kernel():
     # OpenBLAS picks its kernel for the CPU it runs on; a child forced onto
     # the Haswell kernel (AVX2 and FMA, no AVX-512) computes what such a
@@ -57,16 +77,60 @@ def test_checks_do_not_depend_on_the_blas_kernel():
     flags = set(cpuinfo.read_text().split()) if cpuinfo.exists() else set()
     if not {"avx2", "fma"} <= flags:
         pytest.skip("the Haswell kernel needs a CPU with AVX2 and FMA")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    code = ("from pseudohyp.verify import run_sweep\n"
-            "for rep in run_sweep():\n"
-            "    print(rep.sig, rep.radius, *map(repr, rep.checks))\n")
-    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                           env={**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": "Haswell"},
-                           timeout=120)
-    want = [" ".join(map(str, (rep.sig, rep.radius, *map(repr, rep.checks)))) for rep in run_sweep()]
-    assert child.stdout.splitlines() == want
+    child = _child_stdout(_PRINT_SWEEP.format(""), OPENBLAS_CORETYPE="Haswell")
+    assert child.splitlines() == _sweep_lines()
+
+
+def test_checks_do_not_depend_on_the_hash_seed():
+    # random.Random hashes its str key with SHA-512, not with hash(), so the
+    # isometry checks' draws are the same under every PYTHONHASHSEED
+    code = _PRINT_SWEEP.format("max_sig=2")
+    first, second = (_child_stdout(code, PYTHONHASHSEED=h).splitlines() for h in ("0", "1"))
+    assert first == second == _sweep_lines(max_sig=2)
+
+
+def test_seed_moves_the_drawn_checks():
+    # --seed picks the isometry checks' vectors, so it is no dead flag
+    def form(seed):
+        checks = run_cell_checks(Signature(2, 2), 1.0, seed=seed).checks
+        return next(c.worst for c in checks if c.name == "isometry_form")
+
+    assert form(1) != form(2)
+
+
+def test_draws_are_the_documented_stdlib_draws():
+    # the key is the str "seed,s,r,round(R*1e6)"; each value is the top 53 bits
+    # m of one little-endian 64-bit word, as m * 2^-52 - 1; pairs come first
+    sig, k = Signature(2, 3), 4
+    pairs, psis = verify._draws(5, sig, 1.5, k)
+    assert pairs.shape == (k, 2, sig.n) and psis.shape == (k,)
+    rng = random.Random("5,2,3,1500000")
+    want = [(rng.getrandbits(64) >> 11) * 2.0**-52 - 1.0 for _ in range(k * (2 * sig.n + 1))]
+    got = np.concatenate([pairs.ravel(), psis])
+    assert got.tolist() == want
+    assert np.all((-1.0 <= got) & (got < 1.0))
+    # the same key gives the same draws, a numpy seed too
+    for seed in (5, np.int64(5)):
+        again = verify._draws(seed, sig, 1.5, k)
+        assert again[0].tobytes() == pairs.tobytes() and again[1].tobytes() == psis.tobytes()
+    # every field of the key moves them; a longer draw starts with the same words
+    for key in ((6, sig, 1.5), (5, Signature(3, 2), 1.5), (5, Signature(2, 4), 1.5),
+                (5, sig, 1.5 + 1e-6)):
+        assert verify._draws(*key, k)[0].ravel()[:8].tolist() != want[:8], key
+    assert verify._draws(5, Signature(2, 4), 1.5, k)[0].shape == (k, 2, 6)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1$"):
+        verify._draws(-1, sig, 1.5, k)
+
+
+def test_verify_does_not_load_numpy_random():
+    # numpy.random and its C extensions cost a fresh process about 14 ms and
+    # 5 MB; the isometry checks draw from the stdlib generator instead
+    code = ("import contextlib, io, sys\n"
+            "from pseudohyp.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['verify', '--max-sig', '1']) == 0\n"
+            "print('numpy.random' in sys.modules)\n")
+    assert _child_stdout(code) == "False\n"
 
 
 def test_fault_injection_is_detected():
@@ -481,10 +545,8 @@ def _per_trial_groups(sig, radius, fault_r_eff):
     each check's worst with the rounding the matrix products allow it."""
     n, r2 = sig.n, radius * radius
     spec = CurveSpec(sig, radius * math.sqrt(sig.r) if fault_r_eff else radius)
-    rng = np.random.default_rng([verify.DEFAULT_SEED, sig.s, sig.r, int(round(radius * 1e6))])
     maps = verify._isometry_maps(sig)
-    pairs = rng.uniform(-1.0, 1.0, (len(maps), 2, n))
-    psis = rng.uniform(-1.0, 1.0, len(maps))
+    pairs, psis = verify._draws(verify.DEFAULT_SEED, sig, radius, len(maps))
     u = 2.0**-53
     gamma = n * u / (1 - n * u)
 
@@ -532,11 +594,17 @@ def _per_trial_groups(sig, radius, fault_r_eff):
     (1, 1, 1.0, False), (1, 1, 1e5, False), (2, 3, 2.5, False), (3, 3, 1.0, True),
     (4, 4, 1.0, False), (6, 6, 1.0, False),
 ])
-def test_whole_array_groups_match_the_per_trial_loop(s, r, radius, fault):
+def test_whole_array_groups_match_the_per_trial_loop(monkeypatch, s, r, radius, fault):
     # the defect and the boosts are the same arithmetic, allowed no change;
     # the other three checks move only by the rounding of the matrix products
     sig = Signature(s, r)
     worst, allow = _per_trial_groups(sig, radius, fault)
+    # those roundings are as large as the worsts, so that the sweep drew the
+    # reference's vectors and points is asserted directly
+    real, drawn = verify._draws, []
+    monkeypatch.setattr(verify, "_draws", lambda *key: drawn.append(real(*key)) or drawn[-1])
     got = {c.name: c.worst for c in run_cell_checks(sig, radius, fault_r_eff=fault).checks}
+    ref = real(verify.DEFAULT_SEED, sig, radius, len(verify._isometry_maps(sig)))
+    assert [[a.tobytes() for a in d] for d in drawn] == [[a.tobytes() for a in ref]]
     for name, want in worst.items():
         assert abs(got[name] - want) <= allow[name], name
